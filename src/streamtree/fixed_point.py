@@ -2,9 +2,11 @@
 
 32-bit two's-complement words with a 30-bit fraction: value = raw / 2**30,
 range [-2, 2 - 2**-30], resolution 2**-30. Overflow saturates to the range
-edge instead of wrapping. Scalar ops live on :class:`Fixed30`; the
-``*_raw`` helpers work on plain ints / int64 numpy arrays so bulk updates
-can run without boxing.
+edge instead of wrapping. Raw words are plain Python ints or int64 numpy
+arrays; there is no boxed scalar type. The fixed numeric backend keeps its
+quantile trackers as raw words: `float_to_raw_array` brings samples and
+split points into tracker units, and `saturate_raw_array` clips after each
+tracker step (see `leaf_stats`).
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ def raw_to_float(raw: int) -> float:
     return raw / SCALE
 
 
-def add_raw(a: int, b: int) -> int:
-    return saturate_raw(a + b)
-
-
-def sub_raw(a: int, b: int) -> int:
-    return saturate_raw(a - b)
-
-
 def mul_raw(a: int, b: int) -> int:
     """Full-width product reduced back to Q2.30 with round-half-even."""
     q, r = divmod(a * b, SCALE)
@@ -53,57 +47,12 @@ def mul_raw(a: int, b: int) -> int:
     return saturate_raw(q)
 
 
-class Fixed30:
-    """One Q2.30 value. Arithmetic saturates; comparisons follow raw order."""
-
-    __slots__ = ("raw",)
-
-    def __init__(self, raw: int):
-        if not RAW_MIN <= raw <= RAW_MAX:
-            raise ValueError(f"raw word {raw} outside 32-bit range")
-        self.raw = raw
-
-    @classmethod
-    def from_float(cls, x: float) -> "Fixed30":
-        return cls(float_to_raw(x))
-
-    def to_float(self) -> float:
-        return self.raw / SCALE
-
-    def __add__(self, other: "Fixed30") -> "Fixed30":
-        return Fixed30(add_raw(self.raw, other.raw))
-
-    def __sub__(self, other: "Fixed30") -> "Fixed30":
-        return Fixed30(sub_raw(self.raw, other.raw))
-
-    def __mul__(self, other: "Fixed30") -> "Fixed30":
-        return Fixed30(mul_raw(self.raw, other.raw))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Fixed30) and self.raw == other.raw
-
-    def __lt__(self, other: "Fixed30") -> bool:
-        return self.raw < other.raw
-
-    def __le__(self, other: "Fixed30") -> bool:
-        return self.raw <= other.raw
-
-    def __hash__(self) -> int:
-        return hash(self.raw)
-
-    def __repr__(self) -> str:
-        return f"Fixed30({self.to_float():.10f})"
-
-
-def float_to_raw_array(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def float_to_raw_array(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized quantization. Returns (int64 raw array, saturation count)."""
     scaled = np.rint(np.asarray(x, dtype=np.float64) * SCALE)
     saturated = int(np.count_nonzero((scaled > RAW_MAX) | (scaled < RAW_MIN)))
     raw = scaled.astype(np.int64)
     np.clip(raw, RAW_MIN, RAW_MAX, out=raw)
-    if out is not None:
-        out[...] = raw
-        return out, saturated
     return raw, saturated
 
 

@@ -12,11 +12,16 @@ an incremental Gaussian per class, never both. Categorical attributes
 carry value-by-class count histograms. The per-sample update path is
 vectorized across attributes (one sample touches every attribute of one
 (element, class) slice).
+
+Both numeric backends run one tracker kernel on one `trackers` array,
+held in float64 reals or in int64 raw Q2.30 words; they differ only where
+reals enter tracker units. Only `StatsPool` knows which arrays an element
+owns: recycling and snapshots walk `element_arrays` and `hists`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,8 +53,7 @@ class StatsPool:
                  method: str = METHOD_QUANTILE,
                  quantile_count: int = 8,
                  lam: float = 0.01,
-                 backend: str = BACKEND_FLOAT,
-                 targets: Optional[Sequence[float]] = None):
+                 backend: str = BACKEND_FLOAT):
         if method not in (METHOD_QUANTILE, METHOD_GAUSSIAN):
             raise ValueError(f"unknown method {method!r}")
         if backend not in (BACKEND_FLOAT, BACKEND_FIXED):
@@ -60,7 +64,6 @@ class StatsPool:
         self.capacity = capacity
         self.method = method
         self.backend = backend
-        self.lam = lam
         C = schema.class_count
         self.class_count = C
         self.numeric_idx = tuple(
@@ -82,51 +85,66 @@ class StatsPool:
             np.zeros((capacity, schema.attributes[i].cardinality, C), dtype=np.int64)
             for i in self.cat_idx
         ]
+        # Every per-element statistic but `hists`, by snapshot key, with
+        # the value a recycled element holds.
+        self.element_arrays = {
+            "n_f": (self.n_f, 0),
+            "n_fj": (self.n_fj, 0),
+            "min_a": (self.min_a, np.inf),
+            "max_a": (self.max_a, -np.inf),
+        }
 
         if method == METHOD_QUANTILE:
-            self.targets = np.asarray(
-                targets if targets is not None else default_targets(quantile_count)
-            )
+            self.targets = np.asarray(default_targets(quantile_count))
             Q = len(self.targets)
             self.quantile_count = Q
             if backend == BACKEND_FLOAT:
-                self.qvals = np.zeros((capacity, A, C, Q))
-                self.step_up = lam * self.targets
-                self.step_down = lam * (1.0 - self.targets)
+                key, dtype = "qvals", np.float64
+                up = lam * self.targets
+                down = lam * (1.0 - self.targets)
             else:
-                self.qraw = np.zeros((capacity, A, C, Q), dtype=np.int64)
+                key, dtype = "qraw", np.int64
                 lam_raw = fx.float_to_raw(lam)
-                self.step_up_raw = np.array(
-                    [fx.mul_raw(lam_raw, fx.float_to_raw(a)) for a in self.targets],
-                    dtype=np.int64,
-                )
-                self.step_down_raw = np.array(
-                    [fx.mul_raw(lam_raw, fx.float_to_raw(1.0 - a)) for a in self.targets],
-                    dtype=np.int64,
-                )
+                up = [fx.mul_raw(lam_raw, fx.float_to_raw(a)) for a in self.targets]
+                down = [fx.mul_raw(lam_raw, fx.float_to_raw(1.0 - a)) for a in self.targets]
+            self.trackers = np.zeros((capacity, A, C, Q), dtype=dtype)
+            self.step_up = np.asarray(up, dtype=dtype)
+            self.step_down = np.asarray(down, dtype=dtype)
+            self.element_arrays[key] = (self.trackers, 0)
         else:
             self.g_mean = np.zeros((capacity, A, C))
             self.g_vsum = np.zeros((capacity, A, C))
+            self.element_arrays["g_mean"] = (self.g_mean, 0.0)
+            self.element_arrays["g_vsum"] = (self.g_vsum, 0.0)
 
         self.saturation_count = 0
 
     def reset_element(self, e: int) -> None:
-        """Recycle element e: zero its statistics and bump its generation."""
+        """Recycle element e: clear its statistics and bump its generation."""
         self.generation[e] += 1
-        self.n_f[e] = 0
-        self.n_fj[e] = 0
-        self.min_a[e] = np.inf
-        self.max_a[e] = -np.inf
+        for arr, empty in self.element_arrays.values():
+            arr[e] = empty
         for h in self.hists:
             h[e] = 0
-        if self.method == METHOD_QUANTILE:
-            if self.backend == BACKEND_FLOAT:
-                self.qvals[e] = 0.0
-            else:
-                self.qraw[e] = 0
-        else:
-            self.g_mean[e] = 0.0
-            self.g_vsum[e] = 0.0
+
+    def element_doc(self, e: int) -> dict:
+        """Element e's statistics as JSON-ready lists, by snapshot key."""
+        doc = {key: arr[e].tolist() for key, (arr, _) in self.element_arrays.items()}
+        doc["hists"] = [h[e].tolist() for h in self.hists]
+        return doc
+
+    def load_element(self, e: int, doc: dict) -> None:
+        """Overwrite element e's statistics from an `element_doc` dict."""
+        for key, (arr, _) in self.element_arrays.items():
+            arr[e] = doc[key]
+        for h, vals in zip(self.hists, doc["hists"], strict=True):
+            h[e] = vals
+
+    def _to_tracker_units(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """Reals in tracker units, with how many saturated on the way."""
+        if self.backend == BACKEND_FIXED:
+            return fx.float_to_raw_array(x)
+        return x, 0
 
     def observe(self, e: int, values: Sequence, label: int) -> None:
         self.n_f[e] += 1
@@ -138,21 +156,14 @@ class StatsPool:
             np.minimum(self.min_a[e], xv, out=self.min_a[e])
             np.maximum(self.max_a[e], xv, out=self.max_a[e])
             if self.method == METHOD_QUANTILE:
-                if self.backend == BACKEND_FLOAT:
-                    if cj == 1:
-                        self.qvals[e, :, label, :] = xv[:, None]
-                    else:
-                        v = self.qvals[e, :, label, :]
-                        v += np.where(v < xv[:, None], self.step_up, -self.step_down)
+                xt, sat = self._to_tracker_units(xv)
+                self.saturation_count += sat
+                v = self.trackers[e, :, label, :]
+                if cj == 1:
+                    v[...] = xt[:, None]
                 else:
-                    xr, sat = fx.float_to_raw_array(xv)
-                    self.saturation_count += sat
-                    if cj == 1:
-                        self.qraw[e, :, label, :] = xr[:, None]
-                    else:
-                        v = self.qraw[e, :, label, :]
-                        v += np.where(v < xr[:, None],
-                                      self.step_up_raw, -self.step_down_raw)
+                    v += np.where(v < xt[:, None], self.step_up, -self.step_down)
+                    if self.backend == BACKEND_FIXED:
                         self.saturation_count += fx.saturate_raw_array(v)
             else:
                 if cj == 1:
@@ -184,21 +195,15 @@ class StatsPool:
         counts = self.n_fj[e].astype(np.float64)
         pts_arr = np.asarray(pts, dtype=np.float64)
         if self.method == METHOD_QUANTILE:
-            if self.backend == BACKEND_FLOAT:
-                q = self.qvals[e, k]  # (C, Q)
-                below = (q[None, :, :] < pts_arr[:, None, None]).sum(axis=2)
-            else:
-                praw, _ = fx.float_to_raw_array(pts_arr)
-                q = self.qraw[e, k]
-                below = (q[None, :, :] < praw[:, None, None]).sum(axis=2)
+            # a split point that saturates is not a saturated sample
+            pt, _ = self._to_tracker_units(pts_arr)
+            q = self.trackers[e, k]  # (C, Q)
+            below = (q[None, :, :] < pt[:, None, None]).sum(axis=2)
             dist_l = below / self.quantile_count * counts[None, :]
         else:
             dist_l = np.empty((len(pts_arr), self.class_count))
             for j in range(self.class_count):
                 n = counts[j]
-                if n == 0:
-                    dist_l[:, j] = 0.0
-                    continue
                 m = self.g_mean[e, k, j]
                 vs = self.g_vsum[e, k, j]
                 if n <= 1 or vs <= 0.0:
@@ -211,19 +216,10 @@ class StatsPool:
         dist_l[:, counts == 0] = 0.0
         return dist_l
 
-    def deduce_partitions(self, e: int, attr: int, pt: float) -> ClassDistPair:
-        dist_l = self.numeric_partition_table(e, attr, [pt])[0]
-        counts = self.n_fj[e].astype(np.float64)
-        return ClassDistPair(dist_l, counts - dist_l, pt)
-
-    def categorical_partitions(self, e: int, attr: int, v: int) -> ClassDistPair:
-        h = self.hists[self.cat_sub[attr]]
-        left = h[e, v].astype(np.float64)
-        counts = self.n_fj[e].astype(np.float64)
-        return ClassDistPair(left, counts - left, v)
-
-    def majority_class(self, e: int) -> int:
-        return int(np.argmax(self.n_fj[e]))
+    def categorical_partition_table(self, e: int, attr: int) -> np.ndarray:
+        """dist_L for every (code, class), shape (cardinality, |C|); the
+        left branch of a categorical split holds the one code."""
+        return self.hists[self.cat_sub[attr]][e].astype(np.float64)
 
 
 class LeafElement:
@@ -261,18 +257,10 @@ class LeafElement:
         self._check()
         return self.pool.split_points(self.eid, attr, count)
 
-    def deduce_partitions(self, attr: int, pt: float) -> ClassDistPair:
-        self._check()
-        return self.pool.deduce_partitions(self.eid, attr, pt)
-
     def numeric_partition_table(self, attr: int, pts: Sequence[float]) -> np.ndarray:
         self._check()
         return self.pool.numeric_partition_table(self.eid, attr, pts)
 
-    def categorical_partitions(self, attr: int, v: int) -> ClassDistPair:
+    def categorical_partition_table(self, attr: int) -> np.ndarray:
         self._check()
-        return self.pool.categorical_partitions(self.eid, attr, v)
-
-    def majority_class(self) -> int:
-        self._check()
-        return self.pool.majority_class(self.eid)
+        return self.pool.categorical_partition_table(self.eid, attr)

@@ -2,8 +2,10 @@
 
 Normalization bounds are declared per attribute in the schema rather than
 measured from the data: the learner is online and never gets a second
-pass. Raw values outside the declared range clamp to the boundary, and the
-stream counts every clamp so a badly declared range is visible in reports.
+pass. Raw values outside the declared range (infinities included) clamp
+to the boundary, and the stream counts every clamp so a badly declared
+range is visible in reports. A NaN has no place in any range and is
+rejected like any other malformed field.
 
 Categorical attributes must arrive pre-encoded as integer codes
 0..cardinality-1; the `encode` CLI subcommand produces coded CSVs and a
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Union
 
 
 class SchemaError(ValueError):
@@ -226,7 +228,13 @@ class SampleStream:
                         f"{field!r} is not numeric"
                     ) from None
                 v = normalize(raw, spec)
-                if raw < spec.declared_min or raw > spec.declared_max:
+                if not (spec.declared_min <= raw <= spec.declared_max):
+                    if raw != raw:
+                        self._fh.close()
+                        raise StreamFormatError(
+                            f"row {self._row_no}: attribute {spec.name!r} value "
+                            f"{field!r} is NaN"
+                        )
                     self.clamp_count += 1
                 values.append(v)
             else:
@@ -254,9 +262,3 @@ class SampleStream:
 
 def open_stream(path: str, schema: DatasetSchema) -> SampleStream:
     return SampleStream(path, schema)
-
-
-def iter_samples(rows: Sequence[Sequence], schema: DatasetSchema) -> Iterator[Sample]:
-    """In-memory analog of open_stream for already-normalized rows."""
-    for values, label in rows:
-        yield Sample(list(values), int(label))

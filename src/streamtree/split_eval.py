@@ -136,11 +136,10 @@ def evaluate_split_trial(el: "LeafElement", config: "TreeConfig") -> SplitDecisi
                 continue
             dist_l = el.numeric_partition_table(attr, pts)
         else:
-            h = el.pool.hists[el.pool.cat_sub[attr]][el.eid]
-            if h.sum() == 0:
+            dist_l = el.categorical_partition_table(attr)
+            if not dist_l.any():
                 continue
             pts = list(range(spec.cardinality))
-            dist_l = h.astype(np.float64)
         qualities = _quality_rows(dist_l, counts)
         k = int(np.argmax(qualities))  # first max: smaller pt / lower code
         cand = SplitCandidate(attr, pts[k], float(qualities[k]))

@@ -17,7 +17,7 @@ and predictions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -31,7 +31,7 @@ from .leaf_stats import (
     LeafElement,
     StatsPool,
 )
-from .schema import CATEGORICAL, NUMERIC, DatasetSchema, Sample, parse_schema, schema_to_json
+from .schema import CATEGORICAL, DatasetSchema, Sample, parse_schema, schema_to_json
 
 SNAPSHOT_FORMAT = "streamtree-snapshot"
 SNAPSHOT_VERSION = 1
@@ -317,22 +317,13 @@ class HoeffdingTree:
         doc = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            "config": {
-                "delta": self.config.delta,
-                "tau": self.config.tau,
-                "n_min": self.config.n_min,
-                "split_points": self.config.split_points,
-                "quantile_count": self.config.quantile_count,
-                "lam": self.config.lam,
-                "max_leaves": self.config.max_leaves,
-                "max_depth": self.config.max_depth,
-                "method": self.config.method,
-                "numeric_backend": self.config.numeric_backend,
-                "r_range": self.config.r_range,
-            },
+            "config": vars(self.config),
             "schema": json.loads(schema_to_json(self.schema)),
             "tree": self._node_to_doc(self.root),
-            "elements": self._elements_to_doc(),
+            "elements": {
+                str(e): self.stats.element_doc(e)
+                for e in sorted(set(range(self.pool.capacity)) - set(self.pool.free_list))
+            },
             "free_list": list(self.pool.free_list),
             "generations": self.stats.generation.tolist(),
             "counters": {
@@ -369,29 +360,6 @@ class HoeffdingTree:
             doc["element"] = node.element.eid
         return doc
 
-    def _elements_to_doc(self) -> dict:
-        stats = self.stats
-        used = sorted(set(range(stats.capacity)) - set(self.pool.free_list))
-        out = {}
-        for e in used:
-            doc = {
-                "n_f": int(stats.n_f[e]),
-                "n_fj": stats.n_fj[e].tolist(),
-                "min_a": stats.min_a[e].tolist(),
-                "max_a": stats.max_a[e].tolist(),
-                "hists": [h[e].tolist() for h in stats.hists],
-            }
-            if stats.method == METHOD_QUANTILE:
-                if stats.backend == BACKEND_FLOAT:
-                    doc["qvals"] = stats.qvals[e].tolist()
-                else:
-                    doc["qraw"] = stats.qraw[e].tolist()
-            else:
-                doc["g_mean"] = stats.g_mean[e].tolist()
-                doc["g_vsum"] = stats.g_vsum[e].tolist()
-            out[str(e)] = doc
-        return out
-
 
 def new_tree(schema: DatasetSchema, config: TreeConfig = TreeConfig()) -> HoeffdingTree:
     return HoeffdingTree(schema, config)
@@ -415,24 +383,9 @@ def restore(payload: bytes) -> HoeffdingTree:
         tree = HoeffdingTree(schema, config)
         stats = tree.stats
         stats.generation[:] = doc["generations"]
-        for key, el_doc in doc["elements"].items():
-            e = int(key)
-            stats.n_f[e] = el_doc["n_f"]
-            stats.n_fj[e] = el_doc["n_fj"]
-            stats.min_a[e] = el_doc["min_a"]
-            stats.max_a[e] = el_doc["max_a"]
-            for h, vals in zip(stats.hists, el_doc["hists"]):
-                h[e] = vals
-            if stats.method == METHOD_QUANTILE:
-                if stats.backend == BACKEND_FLOAT:
-                    stats.qvals[e] = el_doc["qvals"]
-                else:
-                    stats.qraw[e] = el_doc["qraw"]
-            else:
-                stats.g_mean[e] = el_doc["g_mean"]
-                stats.g_vsum[e] = el_doc["g_vsum"]
         tree.pool.free_list = [int(x) for x in doc["free_list"]]
-        tree.root = _node_from_doc(doc["tree"], tree)
+        leaves: list[LeafNode] = []
+        tree.root = _node_from_doc(doc["tree"], tree, leaves)
         counters = doc["counters"]
         tree.train_count = counters["trained"]
         tree.leaf_count = counters["leaves"]
@@ -441,6 +394,11 @@ def restore(payload: bytes) -> HoeffdingTree:
         tree.freeze_count = counters["freezes"]
         tree.trial_count = counters["trials"]
         stats.saturation_count = counters["saturations"]
+        live = _check_restored(tree, leaves)
+        if {int(k) for k in doc["elements"]} != live:
+            raise SnapshotError("element statistics do not match the leaves' elements")
+        for key, el_doc in doc["elements"].items():
+            stats.load_element(int(key), el_doc)
         return tree
     except SnapshotError:
         raise
@@ -448,14 +406,14 @@ def restore(payload: bytes) -> HoeffdingTree:
         raise SnapshotError(f"snapshot payload is corrupt: {e}") from None
 
 
-def _node_from_doc(doc: dict, tree: HoeffdingTree) -> Node:
+def _node_from_doc(doc: dict, tree: HoeffdingTree, leaves: list[LeafNode]) -> Node:
     if doc["kind"] == "internal":
         return InternalNode(
             doc["attribute"],
             doc["threshold"],
             doc["categorical"],
-            _node_from_doc(doc["left"], tree),
-            _node_from_doc(doc["right"], tree),
+            _node_from_doc(doc["left"], tree, leaves),
+            _node_from_doc(doc["right"], tree, leaves),
         )
     if doc["kind"] != "leaf":
         raise SnapshotError(f"unknown node kind {doc['kind']!r}")
@@ -466,4 +424,25 @@ def _node_from_doc(doc: dict, tree: HoeffdingTree) -> Node:
         leaf = LeafNode(LeafElement(tree.stats, doc["element"]), doc["depth"],
                         doc["majority"])
     leaf.majority_count = doc["majority_count"]
+    leaves.append(leaf)
     return leaf
+
+
+def _check_restored(tree: HoeffdingTree, leaves: list[LeafNode]) -> set[int]:
+    """Check restored leaves against the element pool and the leaf
+    counters; return the element ids the leaves hold."""
+    capacity = tree.pool.capacity
+    live = [leaf.element.eid for leaf in leaves if not leaf.frozen]
+    # rules out ids out of range, held by two leaves, listed twice, or
+    # both held and free
+    if sorted(live + tree.pool.free_list) != list(range(capacity)):
+        raise SnapshotError(
+            f"leaf elements and the free list do not partition the pool 0..{capacity - 1}"
+        )
+    frozen = len(leaves) - len(live)
+    if (tree.leaf_count, tree.frozen_leaf_count) != (len(leaves), frozen):
+        raise SnapshotError(
+            f"counters say {tree.leaf_count} leaves ({tree.frozen_leaf_count} frozen), "
+            f"the tree has {len(leaves)} ({frozen} frozen)"
+        )
+    return set(live)

@@ -119,6 +119,16 @@ def test_malformed_row_is_status_4(stream, tmp_path, capsys):
     assert "row 1" in err
 
 
+def test_nan_field_is_status_4(stream, tmp_path, capsys):
+    _, schema = stream
+    bad = tmp_path / "nan.csv"
+    bad.write_text("0.5,0.5,0\n0.5,NaN,1\n")
+    rc = cli.run(["eval", "--data", str(bad), "--schema", schema])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "row 2" in err and "NaN" in err
+
+
 def test_usage_error_is_status_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["eval"])  # --data/--schema are required

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from streamtree import fixed_point as fx
-from streamtree.fixed_point import Fixed30
 
 
 def rational_round_half_even(fr: Fraction) -> int:
@@ -58,32 +57,34 @@ class TestScalarConversion:
         assert fx.float_to_raw(-3.0) == fx.RAW_MIN
 
 
+def raw_sum(a: float, b: float) -> int:
+    """a + b the way a fixed tracker steps: int64 add, then saturate."""
+    raw = np.array([fx.float_to_raw(a) + fx.float_to_raw(b)], dtype=np.int64)
+    fx.saturate_raw_array(raw)
+    return int(raw[0])
+
+
 class TestScalarArithmetic:
     def test_exact_add(self):
-        a = Fixed30.from_float(0.5)
-        b = Fixed30.from_float(0.25)
-        assert (a + b).to_float() == 0.75
+        assert fx.raw_to_float(raw_sum(0.5, 0.25)) == 0.75
 
     def test_exact_mul(self):
-        a = Fixed30.from_float(0.5)
-        assert (a * a).to_float() == 0.25
+        a = fx.float_to_raw(0.5)
+        assert fx.raw_to_float(fx.mul_raw(a, a)) == 0.25
 
     def test_add_saturates_high(self):
-        a = Fixed30.from_float(1.9)
-        s = a + a
-        assert s.raw == fx.RAW_MAX
-        assert s.to_float() == 2.0 - 2.0 ** -30
+        s = raw_sum(1.9, 1.9)
+        assert s == fx.RAW_MAX
+        assert fx.raw_to_float(s) == 2.0 - 2.0 ** -30
 
     def test_sub_saturates_low(self):
-        a = Fixed30.from_float(-1.9)
-        b = Fixed30.from_float(1.9)
-        assert (a - b).raw == fx.RAW_MIN
+        assert raw_sum(-1.9, -1.9) == fx.RAW_MIN
 
     def test_mul_saturates(self):
-        a = Fixed30.from_float(1.9)
-        assert (a * a).raw == fx.RAW_MAX
-        b = Fixed30.from_float(-1.9)
-        assert (a * b).raw == fx.RAW_MIN
+        a = fx.float_to_raw(1.9)
+        assert fx.mul_raw(a, a) == fx.RAW_MAX
+        b = fx.float_to_raw(-1.9)
+        assert fx.mul_raw(a, b) == fx.RAW_MIN
 
     def test_mul_rounding_matches_rational_oracle(self):
         pairs = [(0.3, 0.7), (-0.123, 0.456), (1.5, 0.9), (-1.1, -0.2)]
@@ -95,9 +96,10 @@ class TestScalarArithmetic:
             assert got == want
 
     def test_comparisons(self):
-        assert Fixed30.from_float(0.1) < Fixed30.from_float(0.2)
-        assert Fixed30.from_float(-1.0) <= Fixed30.from_float(-1.0)
-        assert Fixed30.from_float(0.5) == Fixed30.from_float(0.5)
+        # trackers compare in raw units, so raw order must be real order
+        assert fx.float_to_raw(0.1) < fx.float_to_raw(0.2)
+        assert fx.float_to_raw(-1.0) <= fx.float_to_raw(-1.0)
+        assert fx.float_to_raw(-0.5) < fx.float_to_raw(0.5)
 
 
 class TestVectorized:

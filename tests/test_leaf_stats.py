@@ -39,9 +39,9 @@ class TestObserve:
         assert el.n_fj.tolist() == [0, 1]
         assert pool.min_a[0].tolist() == [0.4, -0.2]
         assert pool.max_a[0].tolist() == [0.4, -0.2]
-        assert np.all(pool.qvals[0, 0, 1] == 0.4)
-        assert np.all(pool.qvals[0, 1, 1] == -0.2)
-        assert np.all(pool.qvals[0, :, 0] == 0.0)  # other class untouched
+        assert np.all(pool.trackers[0, 0, 1] == 0.4)
+        assert np.all(pool.trackers[0, 1, 1] == -0.2)
+        assert np.all(pool.trackers[0, :, 0] == 0.0)  # other class untouched
 
     def test_two_samples_update_in_order(self):
         pool = make_pool(lam=0.01)
@@ -51,7 +51,7 @@ class TestObserve:
         ref = QuantileSet(default_targets(8))
         ref.update(0.5, 0.01)
         ref.update(0.7, 0.01)
-        assert pool.qvals[0, 0, 0].tolist() == pytest.approx(ref.values, abs=0.0)
+        assert pool.trackers[0, 0, 0].tolist() == pytest.approx(ref.values, abs=0.0)
 
     def test_counting(self):
         rng = np.random.default_rng(2)
@@ -96,7 +96,7 @@ class TestObserve:
             for a in range(2):
                 refs[(a, s.label)].update(s.values[a], 0.02)
         for (a, c), ref in refs.items():
-            assert pool.qvals[1, a, c].tolist() == pytest.approx(ref.values, abs=1e-12)
+            assert pool.trackers[1, a, c].tolist() == pytest.approx(ref.values, abs=1e-12)
 
     def test_gaussian_pool_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -142,16 +142,22 @@ class TestSplitPoints:
         assert pts == sorted(pts)
 
 
+def split_at(el, attr, pt):
+    """(left, right) class counts of a numeric split at pt, from a one-point table."""
+    left = el.numeric_partition_table(attr, [pt])[0]
+    return left, el.n_fj - left
+
+
 class TestDeducePartitions:
     def test_hand_count(self):
         pool = make_pool()
         el = LeafElement(pool, 0)
-        pool.qvals[0, 0, 1] = np.arange(0.1, 0.9, 0.1)
+        pool.trackers[0, 0, 1] = np.arange(0.1, 0.9, 0.1)
         pool.n_fj[0, 1] = 80
         pool.n_f[0] = 80
-        pair = el.deduce_partitions(0, 0.45)
-        assert pair.left[1] == pytest.approx(40.0)
-        assert pair.right[1] == pytest.approx(40.0)
+        left, right = split_at(el, 0, 0.45)
+        assert left[1] == pytest.approx(40.0)
+        assert right[1] == pytest.approx(40.0)
 
     def test_pt_below_everything(self):
         pool = make_pool()
@@ -159,17 +165,17 @@ class TestDeducePartitions:
         rng = np.random.default_rng(1)
         for _ in range(50):
             el.observe(Sample([float(rng.uniform(0.2, 0.8)), 0.0], int(rng.integers(0, 2))))
-        pair = el.deduce_partitions(0, -0.99)
-        assert pair.left.tolist() == [0.0, 0.0]
-        assert pair.right.tolist() == pytest.approx(el.n_fj.astype(float).tolist())
+        left, right = split_at(el, 0, -0.99)
+        assert left.tolist() == [0.0, 0.0]
+        assert right.tolist() == pytest.approx(el.n_fj.astype(float).tolist())
 
     def test_empty_class_contributes_zero(self):
         pool = make_pool()
         el = LeafElement(pool, 0)
         for x in (0.1, 0.5, 0.9):
             el.observe(Sample([x, 0.0], 0))
-        pair = el.deduce_partitions(0, 0.6)
-        assert pair.left[1] == 0.0 and pair.right[1] == 0.0
+        left, right = split_at(el, 0, 0.6)
+        assert left[1] == 0.0 and right[1] == 0.0
 
     def test_conservation(self):
         rng = np.random.default_rng(4)
@@ -179,9 +185,9 @@ class TestDeducePartitions:
             el.observe(Sample([float(rng.normal(0, 0.4)), 0.0], int(rng.integers(0, 2))))
         counts = el.n_fj.astype(float)
         for pt in np.linspace(-1, 1, 21):
-            pair = el.deduce_partitions(0, float(pt))
-            assert (pair.left + pair.right).tolist() == pytest.approx(counts.tolist())
-            assert np.all(pair.left >= 0) and np.all(pair.right >= 0)
+            left, right = split_at(el, 0, float(pt))
+            assert (left + right).tolist() == pytest.approx(counts.tolist())
+            assert np.all(left >= 0) and np.all(right >= 0)
 
     def test_monotone_in_pt(self):
         rng = np.random.default_rng(4)
@@ -191,7 +197,7 @@ class TestDeducePartitions:
             el.observe(Sample([float(rng.uniform(-1, 1)), 0.0], int(rng.integers(0, 2))))
         prev = None
         for pt in np.linspace(-1.1, 1.1, 45):
-            left = el.deduce_partitions(0, float(pt)).left
+            left, _ = split_at(el, 0, float(pt))
             if prev is not None:
                 assert np.all(left >= prev - 1e-12)
             prev = left
@@ -207,8 +213,8 @@ class TestDeducePartitions:
             pts = el.split_points(0, 10)
             table = el.numeric_partition_table(0, pts)
             for p, pt in enumerate(pts):
-                single = el.deduce_partitions(0, pt)
-                assert table[p].tolist() == pytest.approx(single.left.tolist(), abs=0.0)
+                single, _ = split_at(el, 0, pt)
+                assert table[p].tolist() == pytest.approx(single.tolist(), abs=0.0)
 
     def test_exact_count_oracle(self):
         # round-down reconstruction quantizes mass to 1/|Q| steps; allow
@@ -223,11 +229,11 @@ class TestDeducePartitions:
             el.observe(Sample([x, 0.0], y))
             per_class[y].append(x)
         for pt in (0.25, 0.5, 0.75):
-            pair = el.deduce_partitions(0, pt)
+            left, _ = split_at(el, 0, pt)
             for j in (0, 1):
                 exact = sum(1 for v in per_class[j] if v <= pt)
                 n_j = len(per_class[j])
-                assert abs(pair.left[j] - exact) <= n_j / 8 + 0.1 * n_j
+                assert abs(left[j] - exact) <= n_j / 8 + 0.1 * n_j
 
 
 class TestCategoricalPartitions:
@@ -247,40 +253,24 @@ class TestCategoricalPartitions:
 
     def test_hand_counts(self):
         el = self.fill()
-        pair = el.categorical_partitions(1, 1)
-        assert pair.left.tolist() == [10.0, 5.0]
-        assert pair.right.tolist() == [20.0, 15.0]
+        left = el.categorical_partition_table(1)[1]
+        assert left.tolist() == [10.0, 5.0]
+        assert (el.n_fj - left).tolist() == [20.0, 15.0]
 
     def test_unseen_value(self):
         el = self.fill()
-        pair = el.categorical_partitions(1, 2)
-        assert pair.left.tolist() == [0.0, 0.0]
-        assert pair.right.tolist() == [30.0, 20.0]
+        left = el.categorical_partition_table(1)[2]
+        assert left.tolist() == [0.0, 0.0]
+        assert (el.n_fj - left).tolist() == [30.0, 20.0]
 
     def test_all_mass_on_one_value(self):
         pool = make_pool(MIXED)
         el = LeafElement(pool, 0)
         for y in (0, 1, 1):
             el.observe(Sample([0.0, 2], y))
-        pair = el.categorical_partitions(1, 2)
-        assert pair.left.tolist() == [1.0, 2.0]
-        assert pair.right.tolist() == [0.0, 0.0]
-
-
-class TestMajority:
-    def test_argmax(self):
-        pool = make_pool()
-        pool.n_fj[0] = [3, 7]
-        assert pool.majority_class(0) == 1
-
-    def test_tie_lowest_index(self):
-        pool = make_pool()
-        pool.n_fj[0] = [5, 5]
-        assert pool.majority_class(0) == 0
-
-    def test_zero_counts_default(self):
-        pool = make_pool()
-        assert pool.majority_class(0) == 0
+        left = el.categorical_partition_table(1)[2]
+        assert left.tolist() == [1.0, 2.0]
+        assert (el.n_fj - left).tolist() == [0.0, 0.0]
 
 
 class TestRecycling:
@@ -294,7 +284,16 @@ class TestRecycling:
         assert np.all(pool.n_fj[2] == 0)
         assert np.isinf(pool.min_a[2]).all() and np.isinf(pool.max_a[2]).all()
         assert np.all(pool.hists[0][2] == 0)
-        assert np.all(pool.qvals[2] == 0)
+        assert np.all(pool.trackers[2] == 0)
+
+    @pytest.mark.parametrize("kw", [{}, {"backend": "fixed"}, {"method": "gaussian"}])
+    def test_reset_matches_a_fresh_element(self, kw):
+        pool = make_pool(MIXED, **kw)
+        el = LeafElement(pool, 2)
+        for x, c, y in ((0.5, 1, 1), (-0.3, 2, 0), (0.9, 1, 1)):
+            el.observe(Sample([x, c], y))
+        pool.reset_element(2)
+        assert pool.element_doc(2) == make_pool(MIXED, **kw).element_doc(2)
 
     def test_stale_handle_raises(self):
         pool = make_pool()
@@ -304,7 +303,7 @@ class TestRecycling:
         with pytest.raises(StaleElementError):
             el.observe(Sample([0.1, 0.2], 0))
         with pytest.raises(StaleElementError):
-            el.majority_class()
+            el.n_f
         fresh = LeafElement(pool, 1)
         fresh.observe(Sample([0.1, 0.2], 0))  # new handle is fine
 
@@ -327,9 +326,9 @@ class TestFixedBackend:
             a.observe(s)
             b.observe(s)
         import streamtree.fixed_point as fx
-        back = fx.raw_to_float_array(fi.qraw[0])
+        back = fx.raw_to_float_array(fi.trackers[0])
         # quantization drift bounded by 10 ulp-equivalents per step
-        assert np.max(np.abs(back - fl.qvals[0])) <= 10 * 2.0 ** -30 * n
+        assert np.max(np.abs(back - fl.trackers[0])) <= 10 * 2.0 ** -30 * n
 
     def test_partition_tables_agree(self):
         rng = np.random.default_rng(5)

@@ -141,12 +141,20 @@ class TestOpenStream:
             next(open_stream(path, self.schema()))
 
     def test_clamp_counting(self, tmp_path):
-        path = self.write(tmp_path, "-99,0,0,0\n5,0,0,1\n99,99,0,0\n")
+        path = self.write(tmp_path, "-99,0,0,0\n5,0,0,1\n99,99,0,0\ninf,-inf,0,0\n")
         stream = open_stream(path, self.schema())
         rows = list(stream)
-        assert stream.clamp_count == 3
+        assert stream.clamp_count == 5
         assert rows[0].values[0] == -1.0
         assert rows[2].values[:2] == [1.0, 1.0]
+        assert rows[3].values[:2] == [1.0, -1.0]
+
+    def test_nan_rejected_with_row_and_attribute(self, tmp_path):
+        path = self.write(tmp_path, "0,0,0,0\n1,nan,0,1\n")
+        stream = open_stream(path, self.schema())
+        next(stream)
+        with pytest.raises(StreamFormatError, match="row 2: attribute 'y' value 'nan' is NaN"):
+            next(stream)
 
     def test_header_skipped(self, tmp_path):
         doc = json.loads(TWO_NUM_ONE_CAT)

@@ -1,5 +1,7 @@
 """Tree induction: routing, pool accounting, freezing, and snapshots."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,84 @@ class TestSnapshot:
         clone = restore(tree.snapshot())
         for s in synth.generate("categorical", 500, seed=2):
             assert clone.predict(s) == tree.predict(s)
+
+
+def leaf_docs(node):
+    if node["kind"] == "internal":
+        return leaf_docs(node["left"]) + leaf_docs(node["right"])
+    return [node]
+
+
+class TestSnapshotValidation:
+    """restore rejects snapshots whose pool or counters contradict the tree."""
+
+    def doc(self):
+        # small caps so the snapshot has frozen leaves and free elements
+        tree = new_tree(TWO_NUM, TreeConfig(max_leaves=16, max_depth=3))
+        tree.train(synth.generate("xor", 10_000, seed=3))
+        doc = json.loads(tree.snapshot())
+        assert doc["counters"]["frozen_leaves"] > 0 and doc["free_list"]
+        assert len(self.live_leaves(doc)) >= 2
+        return doc
+
+    def live_leaves(self, doc):
+        return [leaf for leaf in leaf_docs(doc["tree"]) if "element" in leaf]
+
+    def rejects(self, doc, match):
+        with pytest.raises(SnapshotError, match=match):
+            restore(json.dumps(doc).encode())
+
+    def test_valid_doc_restores(self):
+        doc = self.doc()
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert restore(payload).snapshot() == payload
+
+    def test_negative_element(self):
+        doc = self.doc()
+        self.live_leaves(doc)[0]["element"] = -1
+        self.rejects(doc, "partition")
+
+    def test_element_past_capacity(self):
+        doc = self.doc()
+        self.live_leaves(doc)[0]["element"] = doc["config"]["max_leaves"]
+        self.rejects(doc, "corrupt")
+
+    def test_duplicated_element(self):
+        doc = self.doc()
+        a, b = self.live_leaves(doc)[:2]
+        b["element"] = a["element"]
+        self.rejects(doc, "partition")
+
+    def test_live_element_in_free_list(self):
+        doc = self.doc()
+        doc["free_list"].append(self.live_leaves(doc)[0]["element"])
+        self.rejects(doc, "partition")
+
+    def test_free_list_missing_an_element(self):
+        doc = self.doc()
+        doc["free_list"].pop()
+        self.rejects(doc, "partition the pool")
+
+    def test_free_list_duplicate(self):
+        doc = self.doc()
+        doc["free_list"][-1] = doc["free_list"][0]
+        self.rejects(doc, "partition the pool")
+
+    def test_leaf_counter_disagrees(self):
+        doc = self.doc()
+        doc["counters"]["leaves"] = 99
+        self.rejects(doc, "counters say 99 leaves")
+
+    def test_frozen_counter_disagrees(self):
+        doc = self.doc()
+        doc["counters"]["frozen_leaves"] += 1
+        self.rejects(doc, "counters say")
+
+    def test_statistics_for_a_free_element(self):
+        doc = self.doc()
+        live = str(self.live_leaves(doc)[0]["element"])
+        doc["elements"][str(doc["free_list"][0])] = doc["elements"][live]
+        self.rejects(doc, "element statistics")
 
 
 class TestXor:
