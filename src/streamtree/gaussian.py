@@ -3,11 +3,18 @@
 Mean and variance accumulate in a single pass (Welford update). The CDF at
 a split point comes from the fitted normal; a degenerate fit (fewer than
 two samples, or zero spread) collapses to a step function at the mean.
+`normal_cdf` serves scalar callers and whole split-trial tables alike.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+# math.erf itself, lifted elementwise over arrays, so array and scalar
+# callers get the same bits
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 class GaussianStats:
@@ -47,9 +54,15 @@ class GaussianStats:
         return normal_cdf(pt, self.mean, self.variance)
 
 
-def normal_cdf(pt: float, mean: float, variance: float) -> float:
-    """Phi((pt - mean)/sqrt(variance))."""
-    if variance <= 0.0:
-        return 0.0 if pt < mean else 1.0
-    z = (pt - mean) / math.sqrt(variance)
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def normal_cdf(pt, mean, variance):
+    """Phi((pt - mean)/sqrt(variance)), a step at the mean where variance <= 0.
+
+    Scalars give a float; arrays broadcast together and give an array.
+    """
+    pt, mean, variance = np.broadcast_arrays(
+        *(np.asarray(x, dtype=np.float64) for x in (pt, mean, variance)))
+    out = np.where(pt < mean, 0.0, 1.0)
+    fit = ~(variance <= 0.0)
+    z = (pt[fit] - mean[fit]) / np.sqrt(variance[fit])
+    out[fit] = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)).astype(np.float64))
+    return float(out) if out.ndim == 0 else out

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .gaussian import GaussianStats
+from .gaussian import GaussianStats, normal_cdf
 from .quantiles import QuantileSet, default_targets
 from .schema import NUMERIC, DatasetSchema, Sample, open_stream
 from .tree import HoeffdingTree, TreeConfig, new_tree
@@ -197,12 +197,8 @@ def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
     exact = np.arange(1, n + 1) / n
     quantile = qs.cdf_curve(xs, float(xs[0]), float(xs[-1]))
     step = np.array([qs.cdf_below(float(x)) for x in xs])
-    if gs.weight_sum > 1 and gs.variance_sum > 0:
-        from .gaussian import normal_cdf
-        var = gs.variance
-        gaussian = np.array([normal_cdf(float(x), gs.mean, var) for x in xs])
-    else:
-        gaussian = (xs >= gs.mean).astype(np.float64)
+    # a single sample or no spread gives a step at the mean
+    gaussian = normal_cdf(xs, gs.mean, gs.variance if gs.weight_sum > 1 else 0.0)
     comp = CdfComparison(xs, exact, quantile, step, gaussian)
     if out_path is not None:
         comp.write_csv(out_path)

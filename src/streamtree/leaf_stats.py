@@ -17,6 +17,15 @@ Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
 reals enter tracker units. Only `StatsPool` knows which arrays an element
 owns: recycling and snapshots walk `element_arrays` and `hists`.
+
+A split trial reads one element as whole-leaf tables over the A numeric
+attributes that can split (min < max), P split points per attribute, |C|
+classes and Q quantiles: `split_points` gives the mask of those
+attributes and their points as one (A, P) array, and
+`numeric_partition_table` gives dist_L as one (A, P, |C|) array, from one
+(A, P, |C|, Q) tracker comparison or one array call to `normal_cdf`.
+`categorical_partition_table` gives one attribute's (cardinality, |C|)
+table.
 """
 
 from __future__ import annotations
@@ -179,41 +188,38 @@ class StatsPool:
         for i, h in zip(self.cat_idx, self.hists):
             h[e, values[i], label] += 1
 
-    def split_points(self, e: int, attr: int, count: int) -> list[float]:
-        """count evenly spaced interior points of the observed value range."""
-        k = self.num_sub[attr]
-        lo = float(self.min_a[e, k])
-        hi = float(self.max_a[e, k])
-        if not lo < hi:
-            return []
-        span = (hi - lo) / (count + 1)
-        return [lo + span * p for p in range(1, count + 1)]
+    def split_points(self, e: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (A,) mask of numeric attributes whose observed range is not
+        empty (min < max), and count evenly spaced interior points of each
+        of those ranges, shape (mask.sum(), count)."""
+        lo = self.min_a[e]
+        hi = self.max_a[e]
+        valid = lo < hi
+        lo = lo[valid]
+        span = (hi[valid] - lo) / (count + 1)
+        return valid, lo[:, None] + span[:, None] * np.arange(1, count + 1)
 
-    def numeric_partition_table(self, e: int, attr: int, pts: Sequence[float]) -> np.ndarray:
-        """dist_L for every (split point, class), shape (len(pts), |C|)."""
-        k = self.num_sub[attr]
+    def numeric_partition_table(self, e: int, valid: np.ndarray,
+                                pts: np.ndarray) -> np.ndarray:
+        """dist_L for every (attribute, split point, class) of the numeric
+        attributes the (A,) mask `valid` selects, shape (n, P, |C|), given
+        their split points, shape (n, P)."""
         counts = self.n_fj[e].astype(np.float64)
-        pts_arr = np.asarray(pts, dtype=np.float64)
         if self.method == METHOD_QUANTILE:
             # a split point that saturates is not a saturated sample
-            pt, _ = self._to_tracker_units(pts_arr)
-            q = self.trackers[e, k]  # (C, Q)
-            below = (q[None, :, :] < pt[:, None, None]).sum(axis=2)
-            dist_l = below / self.quantile_count * counts[None, :]
+            pt, _ = self._to_tracker_units(pts)
+            q = self.trackers[e][valid]  # (n, C, Q)
+            below = (q[:, None, :, :] < pt[:, :, None, None]).sum(axis=3)
+            dist_l = below / self.quantile_count * counts
         else:
-            dist_l = np.empty((len(pts_arr), self.class_count))
-            for j in range(self.class_count):
-                n = counts[j]
-                m = self.g_mean[e, k, j]
-                vs = self.g_vsum[e, k, j]
-                if n <= 1 or vs <= 0.0:
-                    dist_l[:, j] = np.where(pts_arr < m, 0.0, n)
-                else:
-                    var = vs / (n - 1.0)
-                    for p, pt in enumerate(pts_arr):
-                        dist_l[p, j] = n * normal_cdf(float(pt), m, var)
+            vs = self.g_vsum[e][valid]  # (n, C)
+            # fewer than two samples or no spread: variance 0, a step at the mean
+            fitted = (counts > 1) & (vs > 0.0)
+            var = np.divide(vs, counts - 1.0, out=np.zeros_like(vs), where=fitted)
+            dist_l = counts * normal_cdf(pts[:, :, None], self.g_mean[e][valid][:, None, :],
+                                         var[:, None, :])
         # zero-count classes contribute nothing regardless of method
-        dist_l[:, counts == 0] = 0.0
+        dist_l[..., counts == 0] = 0.0
         return dist_l
 
     def categorical_partition_table(self, e: int, attr: int) -> np.ndarray:
@@ -253,13 +259,13 @@ class LeafElement:
         self._check()
         self.pool.observe(self.eid, s.values, s.label)
 
-    def split_points(self, attr: int, count: int) -> list[float]:
+    def split_points(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         self._check()
-        return self.pool.split_points(self.eid, attr, count)
+        return self.pool.split_points(self.eid, count)
 
-    def numeric_partition_table(self, attr: int, pts: Sequence[float]) -> np.ndarray:
+    def numeric_partition_table(self, valid: np.ndarray, pts: np.ndarray) -> np.ndarray:
         self._check()
-        return self.pool.numeric_partition_table(self.eid, attr, pts)
+        return self.pool.numeric_partition_table(self.eid, valid, pts)
 
     def categorical_partition_table(self, attr: int) -> np.ndarray:
         self._check()

@@ -10,6 +10,13 @@ so the 1/|S| scaling and the leaf's own impurity can be applied once to
 the winners instead of once per candidate. The full reduction G is
 materialized only for the best and second-best attributes, where the
 Hoeffding bound needs it.
+
+A trial scores a leaf's numeric attributes in one pass: split points
+(A, P), left class counts dist_L (A, P, |C|) and qualities (A, P) for the
+A numeric attributes that can split, P split points each and |C|
+classes, then one argmax per attribute. Each categorical attribute is
+scored as one (cardinality, |C|) table. A loop over attributes then
+keeps the best and second-best.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .leaf_stats import ClassDistPair
-from .schema import CATEGORICAL, NUMERIC
 
 if TYPE_CHECKING:
     from .leaf_stats import LeafElement
@@ -60,19 +66,8 @@ def gini(counts: Sequence[float]) -> float:
 
 
 def split_quality(pair: ClassDistPair) -> float:
-    return _quality(np.asarray(pair.left, dtype=np.float64),
-                    np.asarray(pair.right, dtype=np.float64))
-
-
-def _quality(left: np.ndarray, right: np.ndarray) -> float:
-    sl = left.sum()
-    sr = right.sum()
-    q = 0.0
-    if sl > 0:
-        q += float(np.dot(left, left)) / sl
-    if sr > 0:
-        q += float(np.dot(right, right)) / sr
-    return q
+    return float(_quality_rows(np.asarray(pair.left, dtype=np.float64),
+                               np.asarray(pair.right, dtype=np.float64)))
 
 
 def gini_reduction(total: Sequence[float], pair: ClassDistPair) -> float:
@@ -104,17 +99,53 @@ def hoeffding_bound(r: float, delta: float, n: int) -> float:
     return math.sqrt(r * r * math.log(1.0 / delta) / (2.0 * n))
 
 
-def _quality_rows(dist_l: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized quality for many candidates: dist_l is (k, |C|)."""
-    right = counts[None, :] - dist_l
-    sl = dist_l.sum(axis=1)
-    sr = right.sum(axis=1)
-    out = np.zeros(len(dist_l))
-    nz = sl > 0
-    out[nz] += (dist_l[nz] ** 2).sum(axis=1) / sl[nz]
-    nz = sr > 0
-    out[nz] += (right[nz] ** 2).sum(axis=1) / sr[nz]
-    return out
+def _quality_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Quality of every candidate; class counts lie along the last axis."""
+    sl = left.sum(axis=-1)
+    sr = right.sum(axis=-1)
+    # an empty side adds nothing
+    q = np.divide((left ** 2).sum(axis=-1), sl, out=np.zeros_like(sl), where=sl > 0)
+    q += np.divide((right ** 2).sum(axis=-1), sr, out=np.zeros_like(sr), where=sr > 0)
+    return q
+
+
+def _best_per_attribute(el: "LeafElement", counts: np.ndarray, split_points: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each attribute's best quality and its split point (a threshold, or
+    a code for a categorical attribute), and a mask of the attributes
+    that offer a split at all, indexed by attribute."""
+    pool = el.pool
+    n_attr = len(pool.schema.attributes)
+    offered = np.zeros(n_attr, dtype=bool)
+    quality = np.zeros(n_attr)
+    point = np.zeros(n_attr)
+    if pool.numeric_idx:
+        valid, pts = el.split_points(split_points)
+        if len(pts):
+            dist_l = el.numeric_partition_table(valid, pts)
+            qualities = _quality_rows(dist_l, counts - dist_l)
+            rows = np.arange(len(pts))
+            ks = np.argmax(qualities, axis=1)  # first max: smaller pt
+            idx = np.asarray(pool.numeric_idx)[valid]
+            offered[idx] = True
+            quality[idx] = qualities[rows, ks]
+            point[idx] = pts[rows, ks]
+    for attr in pool.cat_idx:
+        dist_l = el.categorical_partition_table(attr)
+        if dist_l.any():
+            qualities = _quality_rows(dist_l, counts - dist_l)
+            k = int(np.argmax(qualities))  # first max: lower code
+            offered[attr] = True
+            quality[attr] = qualities[k]
+            point[attr] = k
+    return quality, point, offered
+
+
+def _candidate(pool, attr: int, point: np.ndarray, qs: list[float]) -> SplitCandidate:
+    """Attribute attr's best candidate; the tree stores a numeric split
+    point as a float threshold and a categorical one as an int code."""
+    pt = point[attr]
+    return SplitCandidate(attr, int(pt) if attr in pool.cat_sub else float(pt), qs[attr])
 
 
 def evaluate_split_trial(el: "LeafElement", config: "TreeConfig") -> SplitDecision:
@@ -126,31 +157,21 @@ def evaluate_split_trial(el: "LeafElement", config: "TreeConfig") -> SplitDecisi
     n = el.n_f
     epsilon = hoeffding_bound(config.r_range, config.delta, max(n, 1))
 
-    best: Optional[SplitCandidate] = None
-    second: Optional[SplitCandidate] = None
-    schema = el.pool.schema
-    for attr, spec in enumerate(schema.attributes):
-        if spec.kind == NUMERIC:
-            pts = el.split_points(attr, config.split_points)
-            if not pts:
-                continue
-            dist_l = el.numeric_partition_table(attr, pts)
-        else:
-            dist_l = el.categorical_partition_table(attr)
-            if not dist_l.any():
-                continue
-            pts = list(range(spec.cardinality))
-        qualities = _quality_rows(dist_l, counts)
-        k = int(np.argmax(qualities))  # first max: smaller pt / lower code
-        cand = SplitCandidate(attr, pts[k], float(qualities[k]))
+    quality, point, offered = _best_per_attribute(el, counts, config.split_points)
+    qs = quality.tolist()
+    b: Optional[int] = None
+    b2: Optional[int] = None
+    for attr in np.flatnonzero(offered).tolist():
         # strict > keeps the lower attribute index on ties
-        if best is None or cand.quality > best.quality:
-            best, second = cand, best
-        elif second is None or cand.quality > second.quality:
-            second = cand
+        if b is None or qs[attr] > qs[b]:
+            b, b2 = attr, b
+        elif b2 is None or qs[attr] > qs[b2]:
+            b2 = attr
 
-    if best is None:
+    if b is None:
         return SplitDecision(False, None, None, epsilon, REASON_NONE)
+    best = _candidate(el.pool, b, point, qs)
+    second = None if b2 is None else _candidate(el.pool, b2, point, qs)
 
     leaf_gini = gini(counts)
     total = counts.sum()

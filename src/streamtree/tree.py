@@ -17,6 +17,7 @@ and predictions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -189,6 +190,8 @@ class HoeffdingTree:
     # ------------------------------------------------------------ training
 
     def train_one(self, s: Sample) -> Optional[SplitEvent]:
+        if not math.isfinite(sum(s.values)):
+            self._reject_non_finite(s)
         self.train_count += 1
         leaf = self.sort_to_leaf(s)
         if leaf.frozen:
@@ -214,6 +217,14 @@ class HoeffdingTree:
             if decision.taken:
                 return self.apply_split(leaf, decision)
         return None
+
+    def _reject_non_finite(self, s: Sample) -> None:
+        """Raise naming the first non-finite numeric value; a finite sample
+        whose sum overflowed passes."""
+        for i in self.stats.numeric_idx:
+            if not math.isfinite(s.values[i]):
+                raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
+                                 f"is not finite: {s.values[i]!r}")
 
     def apply_split(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
         el = leaf.element
@@ -368,7 +379,7 @@ def new_tree(schema: DatasetSchema, config: TreeConfig = TreeConfig()) -> Hoeffd
 def restore(payload: bytes) -> HoeffdingTree:
     try:
         doc = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as e:
+    except (ValueError, UnicodeDecodeError, RecursionError) as e:
         raise SnapshotError(f"snapshot payload is not valid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError("payload is not a tree snapshot")
@@ -399,30 +410,41 @@ def restore(payload: bytes) -> HoeffdingTree:
             raise SnapshotError("element statistics do not match the leaves' elements")
         for key, el_doc in doc["elements"].items():
             stats.load_element(int(key), el_doc)
+        _check_leaf_counts(tree, leaves)
         return tree
     except SnapshotError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as e:
         raise SnapshotError(f"snapshot payload is corrupt: {e}") from None
 
 
-def _node_from_doc(doc: dict, tree: HoeffdingTree, leaves: list[LeafNode]) -> Node:
+def _node_from_doc(doc: dict, tree: HoeffdingTree, leaves: list[LeafNode],
+                   depth: int = 0) -> Node:
+    max_depth = tree.config.max_depth
     if doc["kind"] == "internal":
+        # a split leaf is shallower than max_depth, so its children fit
+        if depth >= max_depth:
+            raise SnapshotError(f"internal node at depth {depth}, max_depth is {max_depth}")
         return InternalNode(
             doc["attribute"],
             doc["threshold"],
             doc["categorical"],
-            _node_from_doc(doc["left"], tree, leaves),
-            _node_from_doc(doc["right"], tree, leaves),
+            _node_from_doc(doc["left"], tree, leaves, depth + 1),
+            _node_from_doc(doc["right"], tree, leaves, depth + 1),
         )
     if doc["kind"] != "leaf":
         raise SnapshotError(f"unknown node kind {doc['kind']!r}")
+    if doc["depth"] != depth:
+        raise SnapshotError(f"leaf at depth {depth} says depth {doc['depth']!r}")
     if "frozen_counts" in doc:
-        leaf = LeafNode(None, doc["depth"], doc["majority"])
-        leaf.frozen_counts = np.asarray(doc["frozen_counts"], dtype=np.int64)
+        leaf = LeafNode(None, depth, doc["majority"])
+        counts = np.asarray(doc["frozen_counts"], dtype=np.int64)
+        if counts.shape != (tree.schema.class_count,) or (counts < 0).any():
+            raise SnapshotError(
+                f"frozen_counts must be {tree.schema.class_count} non-negative counts")
+        leaf.frozen_counts = counts
     else:
-        leaf = LeafNode(LeafElement(tree.stats, doc["element"]), doc["depth"],
-                        doc["majority"])
+        leaf = LeafNode(LeafElement(tree.stats, doc["element"]), depth, doc["majority"])
     leaf.majority_count = doc["majority_count"]
     leaves.append(leaf)
     return leaf
@@ -446,3 +468,28 @@ def _check_restored(tree: HoeffdingTree, leaves: list[LeafNode]) -> set[int]:
             f"the tree has {len(leaves)} ({frozen} frozen)"
         )
     return set(live)
+
+
+def _check_leaf_counts(tree: HoeffdingTree, leaves: list[LeafNode]) -> None:
+    """Check each restored leaf's majority against its class counts (its
+    element's, or its frozen ones), and each live element's n_f against
+    its per-class counts."""
+    stats = tree.stats
+    live = [leaf for leaf in leaves if not leaf.frozen]
+    frozen = [leaf for leaf in leaves if leaf.frozen]
+    eids = np.array([leaf.element.eid for leaf in live], dtype=np.int64)
+    if (stats.n_f[eids] != stats.n_fj[eids].sum(axis=1)).any():
+        raise SnapshotError("an element's n_f is not the sum of its class counts")
+    frozen_counts = np.array([leaf.frozen_counts for leaf in frozen], dtype=np.int64)
+    counts = np.concatenate([stats.n_fj[eids],
+                             frozen_counts.reshape(len(frozen), stats.class_count)])
+    majority = np.array([leaf.cached_majority for leaf in live + frozen])
+    majority_count = np.array([leaf.majority_count for leaf in live + frozen])
+    if (majority.dtype.kind != "i"
+            or ((majority < 0) | (majority >= stats.class_count)).any()):
+        raise SnapshotError("a leaf's majority is not a class")
+    if majority_count.dtype.kind != "i" or (majority_count != counts.max(axis=1)).any():
+        raise SnapshotError("a leaf's majority_count is not its largest class count")
+    # the tree's rule: ties go to the lower class
+    if ((majority_count > 0) & (majority != counts.argmax(axis=1))).any():
+        raise SnapshotError("a leaf's majority is not the lowest class with the largest count")

@@ -246,9 +246,9 @@ def test_c08_partition_oracle_small_streams(seed, shape):
         x, label = _partition_stream(rng, shape)
         pool.observe(e, [x], label)
         xs[label].append(x)
-    pts = pool.split_points(e, 0, 10)
-    table = pool.numeric_partition_table(e, 0, pts)
-    for pi, pt in enumerate(pts):
+    valid, pts = pool.split_points(e, 10)
+    table = pool.numeric_partition_table(e, valid, pts)[0]
+    for pi, pt in enumerate(pts[0].tolist()):
         for j in (0, 1):
             n_fj = len(xs[j])
             exact = sum(1 for v in xs[j] if v < pt)

@@ -91,3 +91,19 @@ class TestCdf:
 
 def test_mean_shift_scales_z():
     assert normal_cdf(3.0, 1.0, 4.0) == pytest.approx(normal_cdf(1.0, 0.0, 1.0), abs=1e-12)
+
+
+def test_array_call_keeps_the_bits_of_math_erf():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(0, 2, (6, 1))
+    means = rng.normal(0, 1, (1, 5))
+    variances = np.array([[0.0, 1e-300, 0.5, 2.0, -1.0]])  # steps at 0.0 and -1.0
+    table = normal_cdf(pts, means, variances)
+    assert table.shape == (6, 5)
+    for i in range(6):
+        for j in (1, 2, 3):
+            z = (float(pts[i, 0]) - float(means[0, j])) / math.sqrt(float(variances[0, j]))
+            assert table[i, j] == 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+            assert table[i, j] == normal_cdf(float(pts[i, 0]), float(means[0, j]),
+                                             float(variances[0, j]))
+    assert np.all(table[:, [0, 4]] == (pts >= means[:, [0, 4]]))

@@ -124,27 +124,34 @@ class TestSplitPoints:
 
     def test_ten_points_unit_range(self):
         el = self.seeded(0.0, 1.0)
-        pts = el.split_points(0, 10)
-        assert pts == pytest.approx([p / 11 for p in range(1, 11)], abs=1e-12)
+        valid, pts = el.split_points(10)
+        assert valid.tolist() == [True, False]  # a1 stayed at 0.0
+        assert pts.shape == (1, 10)
+        assert pts[0].tolist() == pytest.approx([p / 11 for p in range(1, 11)], abs=1e-12)
 
     def test_constant_attribute_empty(self):
         el = self.seeded(0.3, 0.3)
-        assert el.split_points(0, 10) == []
+        valid, pts = el.split_points(10)
+        assert not valid.any()
+        assert pts.shape == (0, 10)
 
     def test_single_midpoint(self):
         el = self.seeded(-1.0, 1.0)
-        assert el.split_points(0, 1) == pytest.approx([0.0], abs=1e-12)
+        _, pts = el.split_points(1)
+        assert pts[0].tolist() == pytest.approx([0.0], abs=1e-12)
 
     def test_points_strictly_interior(self):
         el = self.seeded(-0.4, 0.9)
-        pts = el.split_points(0, 7)
+        pts = el.split_points(7)[1][0].tolist()
         assert all(-0.4 < p < 0.9 for p in pts)
         assert pts == sorted(pts)
 
 
 def split_at(el, attr, pt):
     """(left, right) class counts of a numeric split at pt, from a one-point table."""
-    left = el.numeric_partition_table(attr, [pt])[0]
+    valid = np.zeros(len(el.pool.numeric_idx), dtype=bool)
+    valid[el.pool.num_sub[attr]] = True
+    left = el.numeric_partition_table(valid, np.array([[pt]]))[0, 0]
     return left, el.n_fj - left
 
 
@@ -210,11 +217,13 @@ class TestDeducePartitions:
             for _ in range(300):
                 el.observe(Sample([float(rng.normal(0, 0.4)), float(rng.uniform(-1, 1))],
                                   int(rng.integers(0, 2))))
-            pts = el.split_points(0, 10)
-            table = el.numeric_partition_table(0, pts)
-            for p, pt in enumerate(pts):
-                single, _ = split_at(el, 0, pt)
-                assert table[p].tolist() == pytest.approx(single.tolist(), abs=0.0)
+            valid, pts = el.split_points(10)
+            table = el.numeric_partition_table(valid, pts)
+            assert valid.all()
+            for attr in range(2):
+                for p, pt in enumerate(pts[attr]):
+                    single, _ = split_at(el, attr, pt)
+                    assert table[attr, p].tolist() == pytest.approx(single.tolist(), abs=0.0)
 
     def test_exact_count_oracle(self):
         # round-down reconstruction quantizes mass to 1/|Q| steps; allow
@@ -341,9 +350,9 @@ class TestFixedBackend:
                        int(rng.integers(0, 2)))
             a.observe(s)
             b.observe(s)
-        pts = a.split_points(0, 10)
-        ta = a.numeric_partition_table(0, pts)
-        tb = b.numeric_partition_table(0, pts)
+        valid, pts = a.split_points(10)
+        ta = a.numeric_partition_table(valid, pts)[0]
+        tb = b.numeric_partition_table(valid, pts)[0]
         # round-down counts can differ only where a tracker sits within
         # quantization distance of a split point; bound total movement
         assert np.max(np.abs(ta - tb)) <= np.max(fl.n_fj[0]) / 8 + 1e-9

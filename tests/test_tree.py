@@ -413,6 +413,115 @@ class TestSnapshotValidation:
         doc["elements"][str(doc["free_list"][0])] = doc["elements"][live]
         self.rejects(doc, "element statistics")
 
+    def frozen_leaves(self, doc):
+        return [leaf for leaf in leaf_docs(doc["tree"]) if "frozen_counts" in leaf]
+
+    def split_leaf(self, doc):
+        """A live leaf whose two class counts differ, with its counts."""
+        for leaf in self.live_leaves(doc):
+            counts = doc["elements"][str(leaf["element"])]["n_fj"]
+            if counts[0] != counts[1]:
+                return leaf, counts
+        raise AssertionError("no live leaf with unequal class counts")
+
+    def test_leaf_depth_not_its_position(self):
+        doc = self.doc()
+        leaf = self.live_leaves(doc)[0]
+        leaf["depth"] += 1
+        self.rejects(doc, "says depth")
+
+    def test_tree_deeper_than_max_depth(self):
+        doc = self.doc()
+        doc["config"]["max_depth"] = 1  # the tree reaches depth 3
+        self.rejects(doc, "max_depth is 1")
+
+    def test_majority_not_a_class(self):
+        for bad in (7, 2, -1, 0.5, "0"):
+            doc = self.doc()
+            self.live_leaves(doc)[0]["majority"] = bad
+            self.rejects(doc, "majority is not a class")
+
+    def test_frozen_counts_malformed(self):
+        for bad in ([1, 2, 3], [5], [3, -1]):
+            doc = self.doc()
+            self.frozen_leaves(doc)[0]["frozen_counts"] = bad
+            self.rejects(doc, "frozen_counts must be 2 non-negative counts")
+
+    def test_majority_count_not_the_largest_count(self):
+        doc = self.doc()
+        self.live_leaves(doc)[0]["majority_count"] += 1
+        self.rejects(doc, "majority_count is not its largest class count")
+        doc = self.doc()
+        self.frozen_leaves(doc)[0]["majority_count"] += 1
+        self.rejects(doc, "majority_count is not its largest class count")
+        doc = self.doc()
+        leaf = self.live_leaves(doc)[0]
+        leaf["majority_count"] = float(leaf["majority_count"])
+        self.rejects(doc, "majority_count is not its largest class count")
+
+    def test_majority_not_the_lowest_top_class(self):
+        doc = self.doc()
+        leaf, counts = self.split_leaf(doc)
+        leaf["majority"] = int(np.argmin(counts))
+        self.rejects(doc, "not the lowest class with the largest count")
+
+    def test_element_total_disagrees_with_class_counts(self):
+        doc = self.doc()
+        doc["elements"][str(self.live_leaves(doc)[0]["element"])]["n_f"] += 1
+        self.rejects(doc, "n_f is not the sum of its class counts")
+
+    def test_tied_counts_restore_with_the_lower_class(self):
+        tree = new_tree(TWO_NUM)
+        tree.train([Sample([0.1, 0.2], 1), Sample([0.3, 0.4], 0)])
+        doc = json.loads(tree.snapshot())
+        assert doc["tree"]["majority"] == 0
+        assert restore(tree.snapshot()).predict(Sample([0.0, 0.0], 1)) == 0
+        doc["tree"]["majority"] = 1
+        self.rejects(doc, "not the lowest class")
+
+    def test_deeply_nested_payload(self):
+        doc = json.loads(new_tree(TWO_NUM).snapshot())
+        leaf = json.dumps(doc["tree"])
+        doc["tree"] = "TREE"
+        node = ('{"kind":"internal","attribute":0,"threshold":0.0,"categorical":false,'
+                f'"right":{leaf},"left":')
+        nested = node * 5000 + leaf + "}" * 5000
+        payload = json.dumps(doc).replace('"TREE"', nested).encode()
+        with pytest.raises(SnapshotError, match="not valid JSON"):
+            restore(payload)
+
+
+class TestNonFiniteInput:
+    """train_one rejects a NaN or an infinity before touching any state."""
+
+    def test_nan_rejected_and_tree_unchanged(self):
+        schema = synth.preset_schema("threshold")
+        head = list(synth.generate("threshold", 150, seed=1))
+        tail = list(synth.generate("threshold", 3000, seed=2))
+        clean = new_tree(schema)
+        clean.train(head + tail)
+        tree = new_tree(schema)
+        tree.train(head)
+        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+            tree.train_one(Sample([float("nan"), 0.0], 0))
+        tree.train(tail)
+        assert tree.train_count == clean.train_count
+        assert tree.snapshot() == clean.snapshot()
+        assert tree.split_log[0].attribute == 0
+
+    def test_infinity_named(self):
+        tree = new_tree(TWO_NUM)
+        with pytest.raises(ValueError, match="attribute 1 \\('a1'\\) is not finite: -inf"):
+            tree.train_one(Sample([0.5, float("-inf")], 1))
+        assert tree.train_count == 0
+        assert tree.root.element.n_f == 0
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self):
+        tree = new_tree(TWO_NUM)
+        tree.train_one(Sample([1e308, 1e308], 1))
+        assert tree.train_count == 1
+        assert tree.root.element.n_f == 1
+
 
 class TestXor:
     def test_two_level_structure_solves_xor(self):
