@@ -75,14 +75,12 @@ class Metrics:
 def interleaved_test_then_train(tree: HoeffdingTree, stream: Iterable[Sample],
                                 window: int = 10_000) -> Metrics:
     m = Metrics()
-    predict = tree.predict
-    train = tree.train_one
+    step = tree.step
     win_correct = 0
     win_seen = 0
     t0 = time.perf_counter()
     for s in stream:
-        ok = predict(s) == s.label
-        train(s)
+        ok = step(s) == s.label
         m.samples_seen += 1
         win_seen += 1
         if ok:

@@ -11,12 +11,24 @@ Numeric attributes carry either a bank of quantile trackers per class or
 an incremental Gaussian per class, never both. Categorical attributes
 carry value-by-class count histograms. The per-sample update path is
 vectorized across attributes (one sample touches every attribute of one
-(element, class) slice).
+(element, class) slice), and `observe` returns the element's updated
+sample count and the sample's class count as Python ints, so the tree
+reads neither back from the arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
-reals enter tracker units. Only `StatsPool` knows which arrays an element
-owns: recycling and snapshots walk `element_arrays` and `hists`.
+reals enter tracker units, and in saturation. A fixed sample is clipped
+(and counted) only when it lies outside Q2.30. A fixed tracker step is
+clipped (and counted) only once the pool `may_saturate`. A tracker is
+seeded at a sample, and a step moves it up only while it is below the
+sample and down only while it is not, by at most one step, so trackers
+stay within one step of the range of the values their element has seen.
+Until some value observed (or, after `restore`, held in a payload) lies
+within one step of the Q2.30 edge, no step can leave the window and the
+clip, which would change nothing, is skipped; from then on every step is
+clipped, as every step was before the check existed. Only `StatsPool`
+knows which arrays an element owns: recycling and snapshots walk
+`element_arrays` and `hists`.
 
 A split trial reads one element as whole-leaf tables over the A numeric
 attributes that can split (min < max), P split points per attribute, |C|
@@ -119,7 +131,13 @@ class StatsPool:
             self.trackers = np.zeros((capacity, A, C, Q), dtype=dtype)
             self.step_up = np.asarray(up, dtype=dtype)
             self.step_down = np.asarray(down, dtype=dtype)
+            self._neg_step_down = -self.step_down
             self.element_arrays[key] = (self.trackers, 0)
+            if backend == BACKEND_FIXED:
+                # no step toward a sample in [_safe_lo, _safe_hi] leaves the
+                # window; the bounds are raw words scaled to exact float64s
+                self._safe_hi = (fx.RAW_MAX - int(self.step_up.max())) / fx.SCALE
+                self._safe_lo = (fx.RAW_MIN + int(self.step_down.max())) / fx.SCALE
         else:
             self.g_mean = np.zeros((capacity, A, C))
             self.g_vsum = np.zeros((capacity, A, C))
@@ -127,6 +145,9 @@ class StatsPool:
             self.element_arrays["g_vsum"] = (self.g_vsum, 0.0)
 
         self.saturation_count = 0
+        # sticky: some value seen came within one tracker step of the Q2.30
+        # edge, so fixed tracker steps are clipped from now on
+        self.may_saturate = False
 
     def reset_element(self, e: int) -> None:
         """Recycle element e: clear its statistics and bump its generation."""
@@ -155,24 +176,33 @@ class StatsPool:
             return fx.float_to_raw_array(x)
         return x, 0
 
-    def observe(self, e: int, values: Sequence, label: int) -> None:
-        self.n_f[e] += 1
-        cj = self.n_fj[e, label] + 1
+    def observe(self, e: int, values: Sequence, label: int) -> tuple[int, int]:
+        """Fold one sample into element e; returns (n_f, n_fj[label])."""
+        n = self.n_f.item(e) + 1
+        self.n_f[e] = n
+        cj = self.n_fj.item(e, label) + 1
         self.n_fj[e, label] = cj
 
         if self.numeric_idx:
-            xv = np.array([values[i] for i in self.numeric_idx])
-            np.minimum(self.min_a[e], xv, out=self.min_a[e])
-            np.maximum(self.max_a[e], xv, out=self.max_a[e])
+            xs = [values[i] for i in self.numeric_idx]
+            xv = np.array(xs)
+            lo = self.min_a[e]
+            np.minimum(lo, xv, out=lo)
+            hi = self.max_a[e]
+            np.maximum(hi, xv, out=hi)
             if self.method == METHOD_QUANTILE:
                 xt, sat = self._to_tracker_units(xv)
-                self.saturation_count += sat
+                if self.backend == BACKEND_FIXED:
+                    self.saturation_count += sat
+                    if not self.may_saturate and (max(xs) > self._safe_hi
+                                                  or min(xs) < self._safe_lo):
+                        self.may_saturate = True
                 v = self.trackers[e, :, label, :]
                 if cj == 1:
                     v[...] = xt[:, None]
                 else:
-                    v += np.where(v < xt[:, None], self.step_up, -self.step_down)
-                    if self.backend == BACKEND_FIXED:
+                    v += np.where(v < xt[:, None], self.step_up, self._neg_step_down)
+                    if self.may_saturate:
                         self.saturation_count += fx.saturate_raw_array(v)
             else:
                 if cj == 1:
@@ -187,6 +217,20 @@ class StatsPool:
 
         for i, h in zip(self.cat_idx, self.hists):
             h[e, values[i], label] += 1
+        return n, cj
+
+    def note_loaded(self, eids: np.ndarray) -> None:
+        """Recompute `may_saturate` once elements `eids` are loaded from a
+        snapshot: on if one of their observed ranges or trackers comes
+        within one step of the Q2.30 edge. Trackers count too, because a
+        payload need not keep them within their element's range."""
+        if self.backend != BACKEND_FIXED or not self.numeric_idx or not len(eids):
+            return
+        # an attribute an element has not seen holds min +inf, max -inf
+        q = self.trackers[eids]
+        hi = max(self.max_a[eids].max(), q.max() / fx.SCALE)
+        lo = min(self.min_a[eids].min(), q.min() / fx.SCALE)
+        self.may_saturate = bool(hi > self._safe_hi or lo < self._safe_lo)
 
     def split_points(self, e: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The (A,) mask of numeric attributes whose observed range is not
@@ -255,9 +299,9 @@ class LeafElement:
         self._check()
         return self.pool.n_fj[self.eid]
 
-    def observe(self, s: Sample) -> None:
+    def observe(self, s: Sample) -> tuple[int, int]:
         self._check()
-        self.pool.observe(self.eid, s.values, s.label)
+        return self.pool.observe(self.eid, s.values, s.label)
 
     def split_points(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         self._check()

@@ -189,28 +189,43 @@ class HoeffdingTree:
 
     # ------------------------------------------------------------ training
 
+    def step(self, s: Sample) -> int:
+        """Predict s, then train on it: `predict(s)` followed by
+        `train_one(s)`, routing s once. Returns the prediction."""
+        if not math.isfinite(sum(s.values)):
+            self._reject_non_finite(s)
+        leaf = self.sort_to_leaf(s)
+        prediction = leaf.cached_majority
+        self._train_leaf(leaf, s)
+        return prediction
+
     def train_one(self, s: Sample) -> Optional[SplitEvent]:
         if not math.isfinite(sum(s.values)):
             self._reject_non_finite(s)
+        return self._train_leaf(self.sort_to_leaf(s), s)
+
+    def _train_leaf(self, leaf: LeafNode, s: Sample) -> Optional[SplitEvent]:
+        """Fold s, already routed to leaf, into the leaf's statistics and run
+        the leaf's split trial when one is due."""
         self.train_count += 1
-        leaf = self.sort_to_leaf(s)
-        if leaf.frozen:
+        label = s.label
+        el = leaf.element
+        if el is None:
             counts = leaf.frozen_counts
-            counts[s.label] += 1
-            c = counts[s.label]
+            counts[label] += 1
+            c = counts[label]
             if (c > leaf.majority_count
-                    or (c == leaf.majority_count and s.label < leaf.cached_majority)):
-                leaf.cached_majority = s.label
+                    or (c == leaf.majority_count and label < leaf.cached_majority)):
+                leaf.cached_majority = label
                 leaf.majority_count = int(c)
             return None
-        el = leaf.element
-        el.observe(s)
-        c = int(el.pool.n_fj[el.eid, s.label])
+        # the tree replaces a leaf's handle whenever it recycles the
+        # element, so the handle's generation check is not needed here
+        n, c = self.stats.observe(el.eid, s.values, label)
         if (c > leaf.majority_count
-                or (c == leaf.majority_count and s.label < leaf.cached_majority)):
-            leaf.cached_majority = s.label
+                or (c == leaf.majority_count and label < leaf.cached_majority)):
+            leaf.cached_majority = label
             leaf.majority_count = c
-        n = el.n_f
         if n % self.config.n_min == 0:
             self.trial_count += 1
             decision = split_eval.evaluate_split_trial(el, self.config)
@@ -291,6 +306,10 @@ class HoeffdingTree:
     # ----------------------------------------------------------- inference
 
     def predict(self, s: Sample) -> int:
+        """The majority class of the leaf s routes to; raises ValueError
+        for a NaN or infinite numeric value, as `train_one` does."""
+        if not math.isfinite(sum(s.values)):
+            self._reject_non_finite(s)
         return self.sort_to_leaf(s).cached_majority
 
     # ------------------------------------------------------------- metrics
@@ -410,6 +429,7 @@ def restore(payload: bytes) -> HoeffdingTree:
             raise SnapshotError("element statistics do not match the leaves' elements")
         for key, el_doc in doc["elements"].items():
             stats.load_element(int(key), el_doc)
+        stats.note_loaded(np.array(list(live), dtype=np.int64))
         _check_leaf_counts(tree, leaves)
         return tree
     except SnapshotError:

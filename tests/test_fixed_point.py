@@ -1,6 +1,7 @@
 """Q2.30 fixed-point representation and saturating arithmetic."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,23 @@ class TestVectorized:
         raw, sat = fx.float_to_raw_array(xs)
         assert sat == 3
         assert raw[1] == fx.RAW_MAX and raw[2] == fx.RAW_MIN and raw[4] == fx.RAW_MAX
+
+    def test_huge_and_edge_values_agree_with_scalar(self):
+        # clipped in float before the product and the int64 cast, so huge
+        # values neither overflow nor wrap to the wrong edge
+        xs = [1e10, -1e10, 1e300, -1e300, 2.0, -2.0, 2.0 - 2.0 ** -30,
+              2.0 - 2.0 ** -31, -2.0 - 2.0 ** -31, -2.0 - 2.0 ** -30,
+              2.0 ** 33, -(2.0 ** 33), 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw, sat = fx.float_to_raw_array(np.array(xs))
+            want = [fx.float_to_raw(x) for x in xs]
+        assert raw.tolist() == want
+        assert want[:4] == [fx.RAW_MAX, fx.RAW_MIN, fx.RAW_MAX, fx.RAW_MIN]
+        assert want[4:10] == [fx.RAW_MAX, fx.RAW_MIN, fx.RAW_MAX, fx.RAW_MAX,
+                              fx.RAW_MIN, fx.RAW_MIN]
+        # -2 and 2 - 2**-30 are words; -2 - 2**-31 rounds to the even -2
+        assert sat == 9
 
     def test_saturate_raw_array(self):
         raw = np.array([0, fx.RAW_MAX + 5, fx.RAW_MIN - 5, 17], dtype=np.int64)

@@ -61,6 +61,14 @@ class TestInterleaved:
         # windowed accuracy improves as the tree learns
         assert m.window_series[-1][1] > m.window_series[0][1]
 
+    def test_nan_sample_raises_before_any_state_change(self):
+        tree = new_tree(ONE_NUM)
+        stream = [Sample([0.1], 1), Sample([float("nan")], 1), Sample([0.2], 1)]
+        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+            interleaved_test_then_train(tree, stream)
+        assert tree.train_count == 1
+        assert tree.root.element.n_f == 1
+
     def test_determinism_excluding_wall_time(self):
         runs = []
         for _ in range(2):

@@ -1,0 +1,217 @@
+"""The per-sample step against the paths it replaced.
+
+`HoeffdingTree.step` routes a sample once to predict and train; it must
+match `predict` followed by `train_one` exactly. On the fixed backend
+`StatsPool.observe` clips a tracker step only once the pool may saturate;
+`OracleElement` keeps the earlier step, which clipped every conversion
+after an int64 cast and every tracker step, and the pool must keep its
+trackers and `saturation_count` equal to it. A snapshot taken mid-stream
+and restored must finish the stream exactly as the uninterrupted tree.
+Every comparison is `==`.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from streamtree import fixed_point as fx
+from streamtree import synth
+from streamtree.leaf_stats import StatsPool
+from streamtree.quantiles import default_targets
+from streamtree.schema import AttributeSpec, DatasetSchema, Sample
+from streamtree.tree import TreeConfig, new_tree, restore
+
+CONFIGS = {
+    "quantile-float": TreeConfig(),
+    "quantile-fixed": TreeConfig(numeric_backend="fixed"),
+    "gaussian": TreeConfig(method="gaussian"),
+}
+
+TWO_NUM = DatasetSchema(
+    (
+        AttributeSpec("a0", "numeric", declared_min=-1.0, declared_max=1.0),
+        AttributeSpec("a1", "numeric", declared_min=-1.0, declared_max=1.0),
+    ),
+    2,
+)
+
+
+# ------------------------------------------------------- step vs two calls
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+def test_step_matches_predict_then_train_one(preset, config):
+    schema = synth.preset_schema(preset)
+    stepped, paired = new_tree(schema, config), new_tree(schema, config)
+    got, want = [], []
+    for s in synth.generate(preset, 6000, seed=11):
+        got.append(stepped.step(s))
+        want.append(paired.predict(s))
+        paired.train_one(s)
+    assert got == want
+    assert stepped.split_log == paired.split_log
+    assert stepped.snapshot() == paired.snapshot()
+    assert stepped.split_count > 0
+
+
+# ---------------------------------------------------- fixed observe oracle
+
+
+def oracle_float_to_raw_array(x):
+    scaled = np.rint(np.asarray(x, dtype=np.float64) * fx.SCALE)
+    saturated = int(np.count_nonzero((scaled > fx.RAW_MAX) | (scaled < fx.RAW_MIN)))
+    raw = scaled.astype(np.int64)
+    np.clip(raw, fx.RAW_MIN, fx.RAW_MAX, out=raw)
+    return raw, saturated
+
+
+def oracle_saturate(raw):
+    saturated = int(np.count_nonzero((raw > fx.RAW_MAX) | (raw < fx.RAW_MIN)))
+    np.clip(raw, fx.RAW_MIN, fx.RAW_MAX, out=raw)
+    return saturated
+
+
+class OracleElement:
+    """One element's fixed trackers, stepped the earlier way."""
+
+    def __init__(self, attrs, classes, quantile_count, lam):
+        targets = default_targets(quantile_count)
+        lam_raw = fx.float_to_raw(lam)
+        self.up = np.array([fx.mul_raw(lam_raw, fx.float_to_raw(a)) for a in targets])
+        self.down = np.array([fx.mul_raw(lam_raw, fx.float_to_raw(1.0 - a))
+                              for a in targets])
+        self.trackers = np.zeros((attrs, classes, len(targets)), dtype=np.int64)
+        self.counts = [0] * classes
+        self.saturations = 0
+
+    def observe(self, xs, label):
+        self.counts[label] += 1
+        xt, sat = oracle_float_to_raw_array(np.array(xs))
+        self.saturations += sat
+        v = self.trackers[:, label, :]
+        if self.counts[label] == 1:
+            v[...] = xt[:, None]
+        else:
+            v += np.where(v < xt[:, None], self.up, -self.down)
+            self.saturations += oracle_saturate(v)
+
+
+EDGE = 2.0 - 2.0 ** -30
+# reals within 2**-8 of either Q2.30 edge, on and off the raw grid
+near_edge = st.builds(lambda side, k, off: side * (EDGE - k * 2.0 ** -30 + off),
+                      st.sampled_from([1.0, -1.0]), st.integers(-4, 1 << 22),
+                      st.sampled_from([0.0, 2.0 ** -31, 2.0 ** -33]))
+values = st.one_of(st.floats(-3.0, 3.0), near_edge)
+samples = st.lists(st.tuples(values, values, st.integers(0, 2)), min_size=1, max_size=80)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stream=samples,
+       lam=st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.sampled_from([1.0, 2.0])),
+       quantile_count=st.sampled_from([2, 3, 8]))
+@example(stream=[(1.999, -1.999, 0)] * 6, lam=0.01, quantile_count=8)
+@example(stream=[(0.5, -0.5, 1), (0.6, 0.2, 1), (0.1, -0.9, 1)], lam=2.0, quantile_count=8)
+def test_fixed_observe_matches_always_saturating_oracle(stream, lam, quantile_count):
+    schema = DatasetSchema(TWO_NUM.attributes, 3)
+    pool = StatsPool(schema, capacity=1, quantile_count=quantile_count, lam=lam,
+                     backend="fixed")
+    oracle = OracleElement(2, 3, quantile_count, lam)
+    for x0, x1, y in stream:
+        pool.observe(0, [x0, x1], y)
+        oracle.observe([x0, x1], y)
+        assert np.array_equal(pool.trackers[0], oracle.trackers)
+        assert pool.saturation_count == oracle.saturations
+
+
+def test_oracle_examples_saturate_tracker_steps():
+    # the explicit examples above reach the step clip, not only conversion
+    for stream, lam in (([(1.999, -1.999, 0)] * 6, 0.01),
+                        ([(0.5, -0.5, 1), (0.6, 0.2, 1), (0.1, -0.9, 1)], 2.0)):
+        oracle = OracleElement(2, 3, 8, lam)
+        for x0, x1, y in stream:
+            oracle.observe([x0, x1], y)
+        assert oracle.saturations > 0
+
+
+def test_pool_starts_unsaturated_and_stays_so_in_range():
+    pool = StatsPool(TWO_NUM, capacity=2, backend="fixed")
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        pool.observe(int(rng.integers(0, 2)), rng.uniform(-1, 1, 2).tolist(),
+                     int(rng.integers(0, 2)))
+    assert not pool.may_saturate
+    pool.observe(0, [0.2, 1.995], 0)
+    assert pool.may_saturate
+    pool.reset_element(0)
+    assert pool.may_saturate  # sticky: recycling does not turn it off
+
+
+def test_observe_returns_the_counts():
+    pool = StatsPool(TWO_NUM, capacity=2)
+    assert pool.observe(1, [0.1, 0.2], 1) == (1, 1)
+    assert pool.observe(1, [0.1, 0.2], 0) == (2, 1)
+    n, c = pool.observe(1, [0.1, 0.2], 1)
+    assert (n, c) == (3, 2)
+    assert type(n) is int and type(c) is int
+
+
+# --------------------------------------------------------------- restore
+
+
+def labelled(rows):
+    return [Sample([x0, x1], int(x0 > 0.25) ^ flip) for x0, x1, flip in rows]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CONFIGS)),
+       wide=st.booleans(),
+       rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                               st.sampled_from([0, 0, 0, 1])),
+                     min_size=2, max_size=400),
+       cut=st.floats(0.0, 1.0))
+def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, wide, rows, cut):
+    config = TreeConfig(n_min=25, method=CONFIGS[name].method,
+                        numeric_backend=CONFIGS[name].numeric_backend)
+    if wide and name == "quantile-fixed":
+        # library inputs are not normalized: these saturate on conversion
+        # and put trackers on the Q2.30 edge
+        rows = [(3.0 * x0, 2.0 + x1, flip) for x0, x1, flip in rows]
+    stream = labelled(rows)
+    k = int(cut * len(stream))
+    whole = new_tree(TWO_NUM, config)
+    want = [whole.step(s) for s in stream]
+    head = new_tree(TWO_NUM, config)
+    got = [head.step(s) for s in stream[:k]]
+    resumed = restore(head.snapshot())
+    got += [resumed.step(s) for s in stream[k:]]
+    assert got == want
+    assert head.split_log + resumed.split_log == whole.split_log
+    assert resumed.stats.saturation_count == whole.stats.saturation_count
+    assert resumed.snapshot() == whole.snapshot()
+
+
+def test_restore_recomputes_may_saturate():
+    fixed = TreeConfig(numeric_backend="fixed")
+    tree = new_tree(TWO_NUM, fixed)
+    tree.train_one(Sample([0.3, -0.4], 0))
+    assert not restore(tree.snapshot()).stats.may_saturate
+    tree.train_one(Sample([0.3, -1.9999], 1))
+    assert tree.stats.may_saturate
+    assert restore(tree.snapshot()).stats.may_saturate
+
+
+def test_restored_tracker_outside_the_window_is_clipped_as_before():
+    # a payload may hold a raw tracker outside Q2.30; the earlier step
+    # clipped it on its next step, and so must the restored pool
+    tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
+    tree.train_one(Sample([0.3, -0.4], 0))
+    blob = tree.snapshot()
+    seeded = b'"qraw":[[[%d,' % fx.float_to_raw(0.3)
+    assert seeded in blob
+    resumed = restore(blob.replace(seeded, b'"qraw":[[[%d,' % (1 << 40)))
+    assert resumed.stats.may_saturate
+    resumed.train_one(Sample([0.3, -0.4], 0))
+    assert resumed.stats.trackers[0, 0, 0, 0] == fx.RAW_MAX
+    assert resumed.stats.saturation_count == 1

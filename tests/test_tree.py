@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from streamtree import fixed_point as fx
 from streamtree import synth
 from streamtree.leaf_stats import LeafElement
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
@@ -521,6 +522,35 @@ class TestNonFiniteInput:
         tree.train_one(Sample([1e308, 1e308], 1))
         assert tree.train_count == 1
         assert tree.root.element.n_f == 1
+        assert tree.predict(Sample([1e308, 1e308], 0)) == 1
+        assert tree.step(Sample([1e308, 1e308], 0)) == 1
+
+    def test_predict_and_step_reject_nan(self):
+        # without the check a NaN fails every `<=` and lands right
+        tree = new_tree(synth.preset_schema("threshold"))
+        tree.train(synth.generate("threshold", 3000, seed=2))
+        before = tree.snapshot()
+        bad = Sample([float("nan"), 0.0], 0)
+        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+            tree.predict(bad)
+        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+            tree.step(bad)
+        assert tree.snapshot() == before
+
+
+class TestFixedSaturation:
+    def test_huge_value_seeds_trackers_at_the_top_edge(self):
+        tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
+        tree.train_one(Sample([1e10, 0.5], 0))
+        q = tree.stats.trackers[tree.root.element.eid, 0, 0]
+        assert (q == fx.RAW_MAX).all()
+        assert tree.stats.saturation_count == 1
+
+    def test_huge_gain_saturates_instead_of_raising(self):
+        tree = new_tree(TWO_NUM, TreeConfig(lam=1e300, numeric_backend="fixed"))
+        assert (tree.stats.step_up <= fx.RAW_MAX).all()
+        tree.train(Sample([0.1 * k, -0.1], k % 2) for k in range(10))
+        assert tree.train_count == 10
 
 
 class TestXor:
