@@ -1,6 +1,5 @@
 """Streaming decision-tree classifier with quantile-tracked numeric attributes."""
 
-from .gaussian import GaussianStats
 from .harness import (
     Metrics,
     compare_methods,
@@ -8,7 +7,7 @@ from .harness import (
     interleaved_test_then_train,
     sweep_quantiles,
 )
-from .quantiles import QuantileSet, asym_signum, default_targets
+from .leaf_stats import default_targets
 from .schema import (
     AttributeSpec,
     DatasetSchema,
@@ -26,14 +25,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributeSpec",
     "DatasetSchema",
-    "GaussianStats",
     "HoeffdingTree",
     "Metrics",
-    "QuantileSet",
     "Sample",
     "SnapshotError",
     "TreeConfig",
-    "asym_signum",
     "compare_methods",
     "default_targets",
     "export_cdf_comparison",

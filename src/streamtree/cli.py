@@ -194,10 +194,13 @@ def cmd_cdf_export(args: argparse.Namespace) -> int:
     data, schema = load_inputs(args)
     if not 0 <= args.attr < schema.attr_count:
         raise CommandError(f"attribute index {args.attr} outside schema")
+    if args.limit < 1:
+        raise CommandError(f"sample limit must be >= 1, got {args.limit}")
+    config = config_from_args(args)
     try:
         comp = export_cdf_comparison(
             data, schema, args.attr, args.limit,
-            quantile_count=args.quantiles, lam=args.lam,
+            quantile_count=config.quantile_count, lam=config.lam,
             out_path=args.out,
         )
     except StreamFormatError as e:

@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .gaussian import GaussianStats, normal_cdf
-from .quantiles import QuantileSet, default_targets
+from .gaussian import normal_cdf
+from .leaf_stats import METHOD_GAUSSIAN, METHOD_QUANTILE, StatsPool
 from .schema import NUMERIC, DatasetSchema, Sample, open_stream
 from .tree import HoeffdingTree, TreeConfig, new_tree
 
@@ -167,36 +167,63 @@ class CdfComparison:
                              self.quantile_step, self.gaussian)])
 
 
+def _cdf_curve(trackers: np.ndarray, targets: np.ndarray, xs: np.ndarray,
+               lo: float, hi: float) -> np.ndarray:
+    """Continuous CDF reconstruction from one tracker bank, at points xs.
+
+    Piecewise-linear through the tracked (value, target) pairs, anchored
+    at (lo, 0) and (hi, 1) from the observed value range. Values are
+    sorted and clipped into [lo, hi] first so the curve is a valid
+    monotone CDF even when trackers have transiently crossed.
+    """
+    knots = np.clip(np.sort(trackers), lo, hi)
+    xp = np.concatenate(([lo], knots, [hi]))
+    fp = np.concatenate(([0.0], targets, [1.0]))
+    # Collapse any equal-x knots monotonically for interp.
+    xp = np.maximum.accumulate(xp)
+    return np.interp(xs, xp, fp)
+
+
 def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
                           attr: int, sample_limit: int,
                           quantile_count: int = 8, lam: float = 0.01,
                           out_path: Optional[str] = None) -> CdfComparison:
     """Fit both estimators on one attribute of the stream head and tabulate
     them against the exact sorted empirical CDF.
+
+    The estimators are the learner's own: a one-element quantile pool and
+    a one-element Gaussian pool over a one-attribute schema, every sample
+    under class 0.
     """
     spec = schema.attributes[attr]
     if spec.kind != NUMERIC:
         raise ValueError(f"attribute {attr} ({spec.name!r}) is not numeric")
-    qs = QuantileSet(default_targets(quantile_count))
-    gs = GaussianStats()
+    if sample_limit < 1:
+        raise ValueError(f"sample limit must be >= 1, got {sample_limit}")
+    # the pool takes any count and step; reject what `eval` rejects
+    TreeConfig(quantile_count=quantile_count, lam=lam)
+    one = DatasetSchema((spec,), 2)
+    qpool = StatsPool(one, 1, METHOD_QUANTILE, quantile_count, lam)
+    gpool = StatsPool(one, 1, METHOD_GAUSSIAN)
     values = []
-    stream = _open(source, schema)
-    for s in stream:
-        x = float(s.values[attr])
-        qs.update(x, lam)
-        gs.update(x)
-        values.append(x)
-        if len(values) >= sample_limit:
+    for s in _open(source, schema):
+        x = [float(s.values[attr])]
+        qpool.observe(0, x, 0)
+        gpool.observe(0, x, 0)
+        values.append(x[0])
+        if len(values) == sample_limit:
             break
     if not values:
         raise ValueError("stream produced no samples")
     xs = np.sort(np.asarray(values))
     n = len(xs)
     exact = np.arange(1, n + 1) / n
-    quantile = qs.cdf_curve(xs, float(xs[0]), float(xs[-1]))
-    step = np.array([qs.cdf_below(float(x)) for x in xs])
+    trackers = qpool.trackers[0, 0, 0]
+    quantile = _cdf_curve(trackers, qpool.targets, xs, float(xs[0]), float(xs[-1]))
+    step = (trackers < xs[:, None]).sum(1) / qpool.quantile_count
     # a single sample or no spread gives a step at the mean
-    gaussian = normal_cdf(xs, gs.mean, gs.variance if gs.weight_sum > 1 else 0.0)
+    var = gpool.g_vsum[0, 0, 0] / (n - 1) if n > 1 else 0.0
+    gaussian = normal_cdf(xs, gpool.g_mean[0, 0, 0], var)
     comp = CdfComparison(xs, exact, quantile, step, gaussian)
     if out_path is not None:
         comp.write_csv(out_path)

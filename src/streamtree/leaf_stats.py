@@ -8,7 +8,15 @@ counter per element tags handles so a stale reference to a recycled
 element raises instead of silently reading another leaf's numbers.
 
 Numeric attributes carry either a bank of quantile trackers per class or
-an incremental Gaussian per class, never both. Categorical attributes
+an incremental Gaussian per class, never both. Each tracker follows the
+constant-gain frugal-streaming rule (Ma, Muthukrishnan & Sandler 2013):
+it moves up by ``lam * alpha`` when a sample lands above it and down by
+``lam * (1 - alpha)`` otherwise, a sample equal to it included, so in
+the long run the fraction of samples below it settles at its target
+``alpha``. A bank doubles as a compact CDF estimate: the mass below a
+point is the fraction of trackers strictly below it, in 1/Q steps. The
+Gaussian is a one-pass unit-weight Welford mean and variance sum
+(Pfahringer, Holmes & Kirkby 2008). Categorical attributes
 carry value-by-class count histograms. The per-sample update path is
 vectorized across attributes (one sample touches every attribute of one
 (element, class) slice), and `observe` returns the element's updated
@@ -48,13 +56,19 @@ import numpy as np
 
 from . import fixed_point as fx
 from .gaussian import normal_cdf
-from .quantiles import default_targets
 from .schema import CATEGORICAL, NUMERIC, DatasetSchema, Sample
 
 METHOD_QUANTILE = "quantile"
 METHOD_GAUSSIAN = "gaussian"
 BACKEND_FLOAT = "float"
 BACKEND_FIXED = "fixed"
+
+
+def default_targets(count: int) -> tuple[float, ...]:
+    """Evenly spaced interior probabilities k/(count+1), k = 1..count."""
+    if count < 2:
+        raise ValueError("quantile count must be >= 2")
+    return tuple(k / (count + 1) for k in range(1, count + 1))
 
 
 class StaleElementError(RuntimeError):

@@ -167,6 +167,8 @@ class HoeffdingTree:
         self.pool = ElementPool(self.stats)
         self.root: Node = LeafNode(self.pool.alloc(), depth=0)
         self.leaf_count = 1
+        # the deepest leaf's depth; not in snapshots, `restore` recomputes it
+        self.depth = 0
         self.frozen_leaf_count = 0
         self.split_count = 0
         self.freeze_count = 0
@@ -258,6 +260,7 @@ class HoeffdingTree:
         self._replace_node(leaf, internal)
         self.leaf_count += 1
         self.split_count += 1
+        self.depth = max(self.depth, leaf.depth + 1)
         event = SplitEvent("split", leaf.depth, n, best.attribute,
                            best.split_point, decision.reason, decision.epsilon)
         self.split_log.append(event)
@@ -313,19 +316,6 @@ class HoeffdingTree:
         return self.sort_to_leaf(s).cached_majority
 
     # ------------------------------------------------------------- metrics
-
-    @property
-    def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if isinstance(node, InternalNode):
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-            else:
-                best = max(best, d)
-        return best
 
     def counters(self) -> dict:
         return {
@@ -416,6 +406,7 @@ def restore(payload: bytes) -> HoeffdingTree:
         tree.pool.free_list = [int(x) for x in doc["free_list"]]
         leaves: list[LeafNode] = []
         tree.root = _node_from_doc(doc["tree"], tree, leaves)
+        tree.depth = max(leaf.depth for leaf in leaves)
         counters = doc["counters"]
         tree.train_count = counters["trained"]
         tree.leaf_count = counters["leaves"]

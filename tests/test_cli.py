@@ -187,6 +187,26 @@ def test_cdf_export_attr_out_of_range(stream, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_cdf_export_limit_below_one(stream, capsys, limit):
+    data, schema = stream
+    rc = cli.run(["cdf-export", "--data", data, "--schema", schema,
+                  "--attr", "0", "--limit", limit])
+    assert rc == 1
+    assert "sample limit must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "0"], ["--lambda", "-0.01"],
+                                   ["--quantiles", "1"]])
+def test_cdf_export_bad_tracker_config(stream, capsys, flags):
+    # the same error eval gives for the same flags
+    data, schema = stream
+    for command in (["cdf-export", "--attr", "0"], ["eval"]):
+        rc = cli.run([*command, "--data", data, "--schema", schema, *flags])
+        assert rc == 1
+        assert "bad configuration" in capsys.readouterr().err
+
+
 def test_encode_builds_coded_csv_and_schema(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(

@@ -1,4 +1,5 @@
-"""Incremental Gaussian stats against two-pass and high-precision oracles."""
+"""The Welford kernel on a one-element pool against two-pass oracles, and
+`normal_cdf` against high-precision ones."""
 
 import math
 
@@ -6,63 +7,80 @@ import mpmath
 import numpy as np
 import pytest
 
-from streamtree.gaussian import GaussianStats, normal_cdf
+from reference_kernels import welford
+from streamtree.gaussian import normal_cdf
+from streamtree.leaf_stats import StatsPool
+from streamtree.schema import AttributeSpec, DatasetSchema
+
+ONE = DatasetSchema((AttributeSpec("x", "numeric", declared_min=-1.0, declared_max=1.0),), 2)
 
 
 def fit(xs):
-    gs = GaussianStats()
+    """A one-element gaussian pool fed xs in order under class 0."""
+    pool = StatsPool(ONE, 1, method="gaussian")
     for x in xs:
-        gs.update(float(x))
-    return gs
+        pool.observe(0, [float(x)], 0)
+    return pool
+
+
+def mean(pool):
+    return float(pool.g_mean[0, 0, 0])
+
+
+def variance(pool):
+    return float(pool.g_vsum[0, 0, 0]) / (int(pool.n_fj[0, 0]) - 1)
+
+
+def cdf(pool, pts):
+    """P(X < pt) under the fit, read from the split-trial table."""
+    pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
+    table = pool.numeric_partition_table(0, np.array([True]), pts[None, :])
+    return (table[0, :, 0] / pool.n_fj[0, 0]).tolist()
 
 
 class TestUpdate:
     def test_hand_trace_1_2_3(self):
-        gs = fit([1, 2, 3])
-        assert gs.mean == pytest.approx(2.0, abs=1e-12)
-        assert gs.variance == pytest.approx(1.0, abs=1e-12)
+        pool = fit([1, 2, 3])
+        assert mean(pool) == pytest.approx(2.0, abs=1e-12)
+        assert variance(pool) == pytest.approx(1.0, abs=1e-12)
 
     def test_seeding(self):
-        gs = fit([5.0])
-        assert gs.mean == 5.0
-        assert gs.weight_sum == 1.0
-        assert gs.variance_sum == 0.0
-        with pytest.raises(ValueError):
-            gs.variance
+        pool = fit([5.0])
+        assert mean(pool) == 5.0
+        assert pool.n_fj[0, 0] == 1
+        assert pool.g_vsum[0, 0, 0] == 0.0
+        # no variance from one sample: the fit is a step at the mean
+        assert cdf(pool, [4.9, 5.0]) == [0.0, 1.0]
 
     def test_constant_stream(self):
-        gs = fit([3.7] * 50)
-        assert gs.mean == 3.7
-        assert gs.variance == 0.0
-
-    def test_nonpositive_weight_rejected(self):
-        gs = GaussianStats()
-        with pytest.raises(ValueError):
-            gs.update(1.0, 0.0)
+        pool = fit([3.7] * 50)
+        assert mean(pool) == 3.7
+        assert variance(pool) == 0.0
 
     def test_two_pass_oracle(self):
         rng = np.random.default_rng(5)
         for n in (2, 10, 1000, 10_000):
             xs = rng.normal(3.0, 2.0, n)
-            gs = fit(xs)
+            pool = fit(xs)
             m = float(np.mean(xs))
             v = float(np.var(xs, ddof=1))
-            assert gs.mean == pytest.approx(m, rel=1e-9)
-            assert gs.variance == pytest.approx(v, rel=1e-9)
+            assert mean(pool) == pytest.approx(m, rel=1e-9)
+            assert variance(pool) == pytest.approx(v, rel=1e-9)
+            assert (mean(pool), float(pool.g_vsum[0, 0, 0])) == welford(xs.tolist())
 
     def test_permutation_stability(self):
         rng = np.random.default_rng(9)
         xs = rng.uniform(-1, 1, 5000)
         a = fit(xs)
         b = fit(xs[::-1])
-        assert b.mean == pytest.approx(a.mean, abs=1e-12)
-        assert b.variance == pytest.approx(a.variance, rel=1e-9)
+        assert mean(b) == pytest.approx(mean(a), abs=1e-12)
+        assert variance(b) == pytest.approx(variance(a), rel=1e-9)
 
 
 class TestCdf:
     def test_at_mean(self):
-        gs = fit([0.0, 2.0])  # mean 1, var 2
-        assert gs.cdf(1.0) == pytest.approx(0.5, abs=1e-12)
+        pool = fit([0.0, 2.0])  # mean 1, var 2
+        assert cdf(pool, 1.0) == [pytest.approx(0.5, abs=1e-12)]
 
     def test_standard_normal_at_one(self):
         assert normal_cdf(1.0, 0.0, 1.0) == pytest.approx(0.841345, abs=1e-6)
@@ -74,19 +92,15 @@ class TestCdf:
             assert abs(normal_cdf(float(z), 0.0, 1.0) - exact) <= 1e-7
 
     def test_degenerate_step(self):
-        gs = fit([2.0])
-        assert gs.cdf(1.9) == 0.0
-        assert gs.cdf(2.0) == 1.0
-        gs2 = fit([2.0, 2.0, 2.0])
-        assert gs2.cdf(1.9) == 0.0
-        assert gs2.cdf(2.1) == 1.0
+        assert cdf(fit([2.0]), [1.9, 2.0]) == [0.0, 1.0]
+        assert cdf(fit([2.0, 2.0, 2.0]), [1.9, 2.1]) == [0.0, 1.0]
 
     def test_monotone_and_open_range(self):
-        gs = fit([0.0, 1.0, 2.0, 3.0])
-        pts = np.linspace(-50, 50, 401)
-        vals = [gs.cdf(float(p)) for p in pts]
+        pool = fit([0.0, 1.0, 2.0, 3.0])
+        vals = cdf(pool, np.linspace(-50, 50, 401))
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-        assert 0.0 < gs.cdf(-8.0) < gs.cdf(11.0) < 1.0
+        lo, hi = cdf(pool, [-8.0, 11.0])
+        assert 0.0 < lo < hi < 1.0
 
 
 def test_mean_shift_scales_z():

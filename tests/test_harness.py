@@ -171,6 +171,26 @@ class TestCdfExport:
         assert np.allclose(comp.quantile_step * 8, np.round(comp.quantile_step * 8))
         assert vals.min() >= 0 and vals.max() <= 8
 
+    def test_one_sample(self):
+        # the trackers sit on the sample, which is not below itself, and
+        # the Gaussian fit of one sample is a step at it
+        comp = export_cdf_comparison(factory([0.3]), ONE_NUM, 0, 10)
+        assert comp.xs.tolist() == [0.3]
+        assert comp.exact.tolist() == [1.0]
+        assert comp.quantile_step.tolist() == [0.0]
+        assert comp.gaussian.tolist() == [1.0]
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_sample_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="sample limit"):
+            export_cdf_comparison(factory(self.uni), ONE_NUM, 0, limit)
+
+    @pytest.mark.parametrize("kw", [{"lam": 0.0}, {"lam": -0.01}, {"quantile_count": 1}])
+    def test_bad_tracker_config_rejected(self, kw):
+        # the pool takes any step size; the export checks what eval checks
+        with pytest.raises(ValueError, match="lam|quantile_count"):
+            export_cdf_comparison(factory(self.uni), ONE_NUM, 0, 100, **kw)
+
     def test_categorical_attr_rejected(self):
         schema = DatasetSchema(
             (AttributeSpec("c", "categorical", cardinality=3),), 2

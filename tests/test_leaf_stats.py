@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from streamtree.gaussian import GaussianStats
-from streamtree.leaf_stats import LeafElement, StaleElementError, StatsPool
-from streamtree.quantiles import QuantileSet, default_targets
+from reference_kernels import track_quantiles, welford
+from streamtree.leaf_stats import LeafElement, StaleElementError, StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
 
 TWO_NUM = DatasetSchema(
@@ -48,10 +47,8 @@ class TestObserve:
         el = LeafElement(pool, 0)
         el.observe(Sample([0.5, 0.0], 0))
         el.observe(Sample([0.7, 0.0], 0))
-        ref = QuantileSet(default_targets(8))
-        ref.update(0.5, 0.01)
-        ref.update(0.7, 0.01)
-        assert pool.trackers[0, 0, 0].tolist() == pytest.approx(ref.values, abs=0.0)
+        ref = track_quantiles([0.5, 0.7], default_targets(8), 0.01)
+        assert pool.trackers[0, 0, 0].tolist() == ref
 
     def test_counting(self):
         rng = np.random.default_rng(2)
@@ -84,34 +81,34 @@ class TestObserve:
         assert h[0, 1].tolist() == [0, 0]
 
     def test_pool_matches_scalar_trackers(self):
-        # dual-surface check: flat pool vs the scalar QuantileSet contract
+        # dual-surface check: flat pool vs the scalar tracker reference
         rng = np.random.default_rng(8)
         pool = make_pool(lam=0.02)
         el = LeafElement(pool, 1)
-        refs = {(a, c): QuantileSet(default_targets(8)) for a in range(2) for c in range(2)}
+        seen = {(a, c): [] for a in range(2) for c in range(2)}
         for _ in range(3000):
             s = Sample([float(rng.uniform(-1, 1)), float(rng.normal(0, 0.3))],
                        int(rng.integers(0, 2)))
             el.observe(s)
             for a in range(2):
-                refs[(a, s.label)].update(s.values[a], 0.02)
-        for (a, c), ref in refs.items():
-            assert pool.trackers[1, a, c].tolist() == pytest.approx(ref.values, abs=1e-12)
+                seen[(a, s.label)].append(s.values[a])
+        for (a, c), xs in seen.items():
+            assert pool.trackers[1, a, c].tolist() == track_quantiles(
+                xs, default_targets(8), 0.02)
 
     def test_gaussian_pool_matches_scalar(self):
         rng = np.random.default_rng(8)
         pool = make_pool(method="gaussian")
         el = LeafElement(pool, 0)
-        refs = {(a, c): GaussianStats() for a in range(2) for c in range(2)}
+        seen = {(a, c): [] for a in range(2) for c in range(2)}
         for _ in range(2000):
             s = Sample([float(rng.uniform(-1, 1)), float(rng.normal(0, 0.3))],
                        int(rng.integers(0, 2)))
             el.observe(s)
             for a in range(2):
-                refs[(a, s.label)].update(s.values[a])
-        for (a, c), ref in refs.items():
-            assert pool.g_mean[0, a, c] == pytest.approx(ref.mean, rel=1e-12)
-            assert pool.g_vsum[0, a, c] == pytest.approx(ref.variance_sum, rel=1e-9)
+                seen[(a, s.label)].append(s.values[a])
+        for (a, c), xs in seen.items():
+            assert (pool.g_mean[0, a, c], pool.g_vsum[0, a, c]) == welford(xs)
 
 
 class TestSplitPoints:

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from streamtree import fixed_point as fx
 from streamtree import synth
-from streamtree.leaf_stats import StatsPool
-from streamtree.quantiles import default_targets
+from streamtree.leaf_stats import StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
 from streamtree.tree import TreeConfig, new_tree, restore
 

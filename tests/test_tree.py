@@ -30,7 +30,7 @@ TWO_NUM = DatasetSchema(
 
 def check_structure(tree):
     """Walk the tree and re-derive every structural invariant."""
-    leaves = frozen = 0
+    leaves = frozen = deepest = 0
     seen_elements = set()
     stack = [(tree.root, 0)]
     while stack:
@@ -40,6 +40,7 @@ def check_structure(tree):
             stack.append((node.right, d + 1))
             continue
         leaves += 1
+        deepest = max(deepest, d)
         assert node.depth == d
         assert d <= tree.config.max_depth
         if node.frozen:
@@ -52,6 +53,7 @@ def check_structure(tree):
     assert tree.pool.allocated_count == leaves - frozen
     assert tree.pool.allocated_count + tree.pool.free_count == tree.pool.capacity
     assert len(seen_elements) == leaves - frozen
+    assert deepest == tree.depth
 
 
 class TestNewTree:
@@ -284,6 +286,8 @@ class TestSnapshot:
         tree = new_tree(TWO_NUM)
         tree.train(separable_stream(10_000, seed=7))
         clone = restore(tree.snapshot())
+        check_structure(clone)
+        assert clone.depth == tree.depth > 0
         for s in separable_stream(1000, seed=11):
             assert clone.predict(s) == tree.predict(s)
 
