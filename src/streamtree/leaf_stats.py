@@ -3,9 +3,10 @@
 All statistics for every leaf live in preallocated arrays indexed by
 (element, attribute, class): element ids are dense integers handed out by
 the tree's pool, so memory is bounded by capacity regardless of how the
-tree grows, and recycling an element is a slice reset. A `generation`
-counter per element tags handles so a stale reference to a recycled
-element raises instead of silently reading another leaf's numbers.
+tree grows, and recycling an element is a slice reset. A leaf holds
+its element's id and nothing else: the tree reads and writes the arrays
+directly, with no per-access guard. A `generation` counter per element
+counts its recyclings; snapshots carry it.
 
 Numeric attributes carry either a bank of quantile trackers per class or
 an incremental Gaussian per class, never both. Each tracker follows the
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import fixed_point as fx
 from .gaussian import normal_cdf
-from .schema import CATEGORICAL, NUMERIC, DatasetSchema, Sample
+from .schema import CATEGORICAL, NUMERIC, DatasetSchema
 
 METHOD_QUANTILE = "quantile"
 METHOD_GAUSSIAN = "gaussian"
@@ -69,10 +70,6 @@ def default_targets(count: int) -> tuple[float, ...]:
     if count < 2:
         raise ValueError("quantile count must be >= 2")
     return tuple(k / (count + 1) for k in range(1, count + 1))
-
-
-class StaleElementError(RuntimeError):
-    """A LeafElement handle outlived the element's recycling."""
 
 
 class ClassDistPair(NamedTuple):
@@ -164,7 +161,7 @@ class StatsPool:
         self.may_saturate = False
 
     def reset_element(self, e: int) -> None:
-        """Recycle element e: clear its statistics and bump its generation."""
+        """Recycle element e: clear its statistics and count the recycling."""
         self.generation[e] += 1
         for arr, empty in self.element_arrays.values():
             arr[e] = empty
@@ -284,47 +281,3 @@ class StatsPool:
         """dist_L for every (code, class), shape (cardinality, |C|); the
         left branch of a categorical split holds the one code."""
         return self.hists[self.cat_sub[attr]][e].astype(np.float64)
-
-
-class LeafElement:
-    """Handle to one element's statistics; guards against recycling."""
-
-    __slots__ = ("pool", "eid", "generation")
-
-    def __init__(self, pool: StatsPool, eid: int):
-        self.pool = pool
-        self.eid = eid
-        self.generation = int(pool.generation[eid])
-
-    def _check(self) -> None:
-        if self.pool.generation[self.eid] != self.generation:
-            raise StaleElementError(
-                f"element {self.eid} was recycled (generation "
-                f"{self.pool.generation[self.eid]} != {self.generation})"
-            )
-
-    @property
-    def n_f(self) -> int:
-        self._check()
-        return int(self.pool.n_f[self.eid])
-
-    @property
-    def n_fj(self) -> np.ndarray:
-        self._check()
-        return self.pool.n_fj[self.eid]
-
-    def observe(self, s: Sample) -> tuple[int, int]:
-        self._check()
-        return self.pool.observe(self.eid, s.values, s.label)
-
-    def split_points(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        self._check()
-        return self.pool.split_points(self.eid, count)
-
-    def numeric_partition_table(self, valid: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        self._check()
-        return self.pool.numeric_partition_table(self.eid, valid, pts)
-
-    def categorical_partition_table(self, attr: int) -> np.ndarray:
-        self._check()
-        return self.pool.categorical_partition_table(self.eid, attr)

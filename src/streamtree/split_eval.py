@@ -27,10 +27,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .leaf_stats import ClassDistPair
+from .leaf_stats import ClassDistPair, StatsPool
 
 if TYPE_CHECKING:
-    from .leaf_stats import LeafElement
     from .tree import TreeConfig
 
 REASON_GAIN = "gain_exceeds_bound"
@@ -109,20 +108,19 @@ def _quality_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return q
 
 
-def _best_per_attribute(el: "LeafElement", counts: np.ndarray, split_points: int
+def _best_per_attribute(pool: StatsPool, e: int, counts: np.ndarray, split_points: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each attribute's best quality and its split point (a threshold, or
-    a code for a categorical attribute), and a mask of the attributes
-    that offer a split at all, indexed by attribute."""
-    pool = el.pool
+    """Element e's best quality per attribute and its split point (a
+    threshold, or a code for a categorical attribute), and a mask of the
+    attributes that offer a split at all, indexed by attribute."""
     n_attr = len(pool.schema.attributes)
     offered = np.zeros(n_attr, dtype=bool)
     quality = np.zeros(n_attr)
     point = np.zeros(n_attr)
     if pool.numeric_idx:
-        valid, pts = el.split_points(split_points)
+        valid, pts = pool.split_points(e, split_points)
         if len(pts):
-            dist_l = el.numeric_partition_table(valid, pts)
+            dist_l = pool.numeric_partition_table(e, valid, pts)
             qualities = _quality_rows(dist_l, counts - dist_l)
             rows = np.arange(len(pts))
             ks = np.argmax(qualities, axis=1)  # first max: smaller pt
@@ -131,7 +129,7 @@ def _best_per_attribute(el: "LeafElement", counts: np.ndarray, split_points: int
             quality[idx] = qualities[rows, ks]
             point[idx] = pts[rows, ks]
     for attr in pool.cat_idx:
-        dist_l = el.categorical_partition_table(attr)
+        dist_l = pool.categorical_partition_table(e, attr)
         if dist_l.any():
             qualities = _quality_rows(dist_l, counts - dist_l)
             k = int(np.argmax(qualities))  # first max: lower code
@@ -148,16 +146,16 @@ def _candidate(pool, attr: int, point: np.ndarray, qs: list[float]) -> SplitCand
     return SplitCandidate(attr, int(pt) if attr in pool.cat_sub else float(pt), qs[attr])
 
 
-def evaluate_split_trial(el: "LeafElement", config: "TreeConfig") -> SplitDecision:
-    """Rank attributes by their best candidate and apply Eq.-style rules:
-    split when the gain gap beats the Hoeffding bound, or when the bound
-    itself has shrunk under the tie threshold tau.
+def evaluate_split_trial(pool: StatsPool, e: int, config: "TreeConfig") -> SplitDecision:
+    """Rank element e's attributes by their best candidate and apply
+    Eq.-style rules: split when the gain gap beats the Hoeffding bound, or
+    when the bound itself has shrunk under the tie threshold tau.
     """
-    counts = el.n_fj.astype(np.float64)
-    n = el.n_f
+    counts = pool.n_fj[e].astype(np.float64)
+    n = pool.n_f.item(e)
     epsilon = hoeffding_bound(config.r_range, config.delta, max(n, 1))
 
-    quality, point, offered = _best_per_attribute(el, counts, config.split_points)
+    quality, point, offered = _best_per_attribute(pool, e, counts, config.split_points)
     qs = quality.tolist()
     b: Optional[int] = None
     b2: Optional[int] = None
@@ -170,8 +168,8 @@ def evaluate_split_trial(el: "LeafElement", config: "TreeConfig") -> SplitDecisi
 
     if b is None:
         return SplitDecision(False, None, None, epsilon, REASON_NONE)
-    best = _candidate(el.pool, b, point, qs)
-    second = None if b2 is None else _candidate(el.pool, b2, point, qs)
+    best = _candidate(pool, b, point, qs)
+    second = None if b2 is None else _candidate(pool, b2, point, qs)
 
     leaf_gini = gini(counts)
     total = counts.sum()

@@ -9,6 +9,9 @@ freezes instead: it keeps a plain class-count vector for prediction but
 never re-enters split trials, so the tree degrades gracefully rather than
 failing.
 
+A leaf holds its element's id, which indexes the pool's arrays directly.
+`HoeffdingTree.validate` checks the tree's invariants; `restore` runs it.
+
 Training is strictly stream-ordered and deterministic: the same samples in
 the same order with the same config produce the identical tree, split log,
 and predictions.
@@ -29,7 +32,6 @@ from .leaf_stats import (
     BACKEND_FLOAT,
     METHOD_GAUSSIAN,
     METHOD_QUANTILE,
-    LeafElement,
     StatsPool,
 )
 from .schema import CATEGORICAL, DatasetSchema, Sample, parse_schema, schema_to_json
@@ -57,6 +59,9 @@ class TreeConfig:
     r_range: float = 1.0
 
     def __post_init__(self):
+        for name in ("delta", "tau", "lam", "r_range"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if self.tau <= 0.0:
@@ -84,12 +89,10 @@ class TreeConfig:
 
 
 class LeafNode:
-    __slots__ = ("element", "cached_majority", "majority_count", "depth",
-                 "frozen_counts")
+    __slots__ = ("eid", "cached_majority", "majority_count", "depth", "frozen_counts")
 
-    def __init__(self, element: Optional[LeafElement], depth: int,
-                 cached_majority: int = 0):
-        self.element = element
+    def __init__(self, eid: Optional[int], depth: int, cached_majority: int = 0):
+        self.eid = eid  # None once frozen
         self.depth = depth
         self.cached_majority = cached_majority
         self.majority_count = 0
@@ -97,7 +100,7 @@ class LeafNode:
 
     @property
     def frozen(self) -> bool:
-        return self.element is None
+        return self.eid is None
 
 
 class InternalNode:
@@ -131,14 +134,14 @@ class ElementPool:
     def allocated_count(self) -> int:
         return self.capacity - len(self.free_list)
 
-    def alloc(self) -> LeafElement:
+    def alloc(self) -> int:
         if not self.free_list:
             raise RuntimeError("element pool exhausted")
-        return LeafElement(self.stats, self.free_list.pop())
+        return self.free_list.pop()
 
-    def release(self, el: LeafElement) -> None:
-        self.stats.reset_element(el.eid)
-        self.free_list.append(el.eid)
+    def release(self, e: int) -> None:
+        self.stats.reset_element(e)
+        self.free_list.append(e)
 
 
 @dataclass
@@ -211,8 +214,8 @@ class HoeffdingTree:
         the leaf's split trial when one is due."""
         self.train_count += 1
         label = s.label
-        el = leaf.element
-        if el is None:
+        e = leaf.eid
+        if e is None:
             counts = leaf.frozen_counts
             counts[label] += 1
             c = counts[label]
@@ -221,16 +224,14 @@ class HoeffdingTree:
                 leaf.cached_majority = label
                 leaf.majority_count = int(c)
             return None
-        # the tree replaces a leaf's handle whenever it recycles the
-        # element, so the handle's generation check is not needed here
-        n, c = self.stats.observe(el.eid, s.values, label)
+        n, c = self.stats.observe(e, s.values, label)
         if (c > leaf.majority_count
                 or (c == leaf.majority_count and label < leaf.cached_majority)):
             leaf.cached_majority = label
             leaf.majority_count = c
         if n % self.config.n_min == 0:
             self.trial_count += 1
-            decision = split_eval.evaluate_split_trial(el, self.config)
+            decision = split_eval.evaluate_split_trial(self.stats, e, self.config)
             if decision.taken:
                 return self.apply_split(leaf, decision)
         return None
@@ -244,8 +245,8 @@ class HoeffdingTree:
                                  f"is not finite: {s.values[i]!r}")
 
     def apply_split(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
-        el = leaf.element
-        n = el.n_f
+        e = leaf.eid
+        n = self.stats.n_f.item(e)
         best = decision.best
         if (leaf.depth + 1 > self.config.max_depth
                 or self.leaf_count + 1 > self.config.max_leaves
@@ -254,7 +255,7 @@ class HoeffdingTree:
         majority = leaf.cached_majority
         left = LeafNode(self.pool.alloc(), leaf.depth + 1, majority)
         right = LeafNode(self.pool.alloc(), leaf.depth + 1, majority)
-        self.pool.release(el)
+        self.pool.release(e)
         is_cat = self.schema.attributes[best.attribute].kind == CATEGORICAL
         internal = InternalNode(best.attribute, best.split_point, is_cat, left, right)
         self._replace_node(leaf, internal)
@@ -267,13 +268,13 @@ class HoeffdingTree:
         return event
 
     def _freeze(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
-        el = leaf.element
-        n = el.n_f
-        leaf.frozen_counts = el.n_fj.copy()
+        e = leaf.eid
+        n = self.stats.n_f.item(e)
+        leaf.frozen_counts = self.stats.n_fj[e].copy()
         leaf.majority_count = int(leaf.frozen_counts.max())
         leaf.cached_majority = int(np.argmax(leaf.frozen_counts))
-        self.pool.release(el)
-        leaf.element = None
+        self.pool.release(e)
+        leaf.eid = None
         self.frozen_leaf_count += 1
         self.freeze_count += 1
         event = SplitEvent("freeze", leaf.depth, n, None, None,
@@ -331,6 +332,84 @@ class HoeffdingTree:
             "saturations": self.stats.saturation_count,
         }
 
+    def validate(self) -> None:
+        """Check the tree's invariants (the caps, the counters, the pool,
+        the class counts; README "Library use" lists them) in one walk, and
+        raise ValueError naming the first one broken."""
+        cfg = self.config
+        stats = self.stats
+        C = stats.class_count
+        live: list[LeafNode] = []
+        frozen: list[LeafNode] = []
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if isinstance(node, InternalNode):
+                # a split leaf is shallower than max_depth, so its children fit
+                if depth >= cfg.max_depth:
+                    raise ValueError(
+                        f"internal node at depth {depth}, max_depth is {cfg.max_depth}")
+                stack += [(node.right, depth + 1), (node.left, depth + 1)]
+            elif node.depth != depth:
+                raise ValueError(f"leaf at depth {depth} says depth {node.depth!r}")
+            elif node.frozen:
+                counts = node.frozen_counts
+                if (not isinstance(counts, np.ndarray) or counts.shape != (C,)
+                        or (counts < 0).any()):
+                    raise ValueError(f"frozen_counts must be {C} non-negative counts")
+                frozen.append(node)
+            else:
+                live.append(node)
+            deepest = max(deepest, depth)
+
+        counters = (self.train_count, self.leaf_count, self.frozen_leaf_count, self.split_count,
+                    self.freeze_count, self.trial_count, self.depth, stats.saturation_count)
+        if any(type(c) is not int for c in counters):
+            raise ValueError(f"counters {counters!r} are not all ints")
+        leaves = len(live) + len(frozen)
+        if (self.leaf_count, self.frozen_leaf_count) != (leaves, len(frozen)):
+            raise ValueError(f"counters say {self.leaf_count} leaves ({self.frozen_leaf_count} "
+                             f"frozen), the tree has {leaves} ({len(frozen)} frozen)")
+        if leaves > cfg.max_leaves:
+            raise ValueError(f"the tree has {leaves} leaves, max_leaves is {cfg.max_leaves}")
+        if (self.split_count, self.freeze_count) != (leaves - 1, len(frozen)):
+            raise ValueError(f"counters say {self.split_count} splits, {self.freeze_count} "
+                             f"freezes; the tree has {leaves} leaves, {len(frozen)} frozen")
+        if self.trial_count < self.split_count + self.freeze_count:
+            raise ValueError(f"counters say {self.trial_count} trials, fewer than the "
+                             f"{self.split_count + self.freeze_count} splits and freezes")
+        if self.train_count < 0 or stats.saturation_count < 0:
+            raise ValueError("the sample and saturation counters must be >= 0")
+        if self.depth != deepest:
+            raise ValueError(f"depth counter says {self.depth}, the deepest leaf is {deepest}")
+
+        eids = [leaf.eid for leaf in live]
+        ids = eids + self.pool.free_list
+        for e in ids:
+            if type(e) is not int:
+                raise ValueError(f"element id {e!r} is not an int")
+        capacity = self.pool.capacity
+        # rules out ids out of range, held by two leaves, listed twice, or
+        # both held and free
+        if sorted(ids) != list(range(capacity)):
+            raise ValueError("leaf elements and the free list do not partition the pool "
+                             f"0..{capacity - 1}")
+        idx = np.array(eids, dtype=np.int64)
+        if (stats.n_f[idx] != stats.n_fj[idx].sum(axis=1)).any():
+            raise ValueError("an element's n_f is not the sum of its class counts")
+        frozen_counts = np.array([leaf.frozen_counts for leaf in frozen], dtype=np.int64)
+        counts = np.concatenate([stats.n_fj[idx], frozen_counts.reshape(len(frozen), C)])
+        majority = np.array([leaf.cached_majority for leaf in live + frozen])
+        majority_count = np.array([leaf.majority_count for leaf in live + frozen])
+        if majority.dtype.kind != "i" or ((majority < 0) | (majority >= C)).any():
+            raise ValueError("a leaf's majority is not a class")
+        if majority_count.dtype.kind != "i" or (majority_count != counts.max(axis=1)).any():
+            raise ValueError("a leaf's majority_count is not its largest class count")
+        # the tree's rule: ties go to the lower class
+        if ((majority_count > 0) & (majority != counts.argmax(axis=1))).any():
+            raise ValueError("a leaf's majority is not the lowest class with the largest count")
+
     # ------------------------------------------------------------ snapshot
 
     def snapshot(self) -> bytes:
@@ -346,15 +425,9 @@ class HoeffdingTree:
             },
             "free_list": list(self.pool.free_list),
             "generations": self.stats.generation.tolist(),
-            "counters": {
-                "trained": self.train_count,
-                "leaves": self.leaf_count,
-                "frozen_leaves": self.frozen_leaf_count,
-                "splits": self.split_count,
-                "freezes": self.freeze_count,
-                "trials": self.trial_count,
-                "saturations": self.stats.saturation_count,
-            },
+            # the depth and pool counters follow from the tree and free list
+            "counters": {k: v for k, v in self.counters().items()
+                         if k not in ("depth", "pool_free", "pool_allocated")},
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -377,7 +450,7 @@ class HoeffdingTree:
         if node.frozen:
             doc["frozen_counts"] = node.frozen_counts.tolist()
         else:
-            doc["element"] = node.element.eid
+            doc["element"] = node.eid
         return doc
 
 
@@ -386,6 +459,8 @@ def new_tree(schema: DatasetSchema, config: TreeConfig = TreeConfig()) -> Hoeffd
 
 
 def restore(payload: bytes) -> HoeffdingTree:
+    """Rebuild a tree from `snapshot` bytes; raises SnapshotError for a
+    payload that is not a valid snapshot (see `HoeffdingTree.validate`)."""
     try:
         doc = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError, RecursionError) as e:
@@ -403,10 +478,8 @@ def restore(payload: bytes) -> HoeffdingTree:
         tree = HoeffdingTree(schema, config)
         stats = tree.stats
         stats.generation[:] = doc["generations"]
-        tree.pool.free_list = [int(x) for x in doc["free_list"]]
-        leaves: list[LeafNode] = []
-        tree.root = _node_from_doc(doc["tree"], tree, leaves)
-        tree.depth = max(leaf.depth for leaf in leaves)
+        tree.pool.free_list = list(doc["free_list"])
+        tree.root = _node_from_doc(doc["tree"], tree)
         counters = doc["counters"]
         tree.train_count = counters["trained"]
         tree.leaf_count = counters["leaves"]
@@ -415,92 +488,35 @@ def restore(payload: bytes) -> HoeffdingTree:
         tree.freeze_count = counters["freezes"]
         tree.trial_count = counters["trials"]
         stats.saturation_count = counters["saturations"]
-        live = _check_restored(tree, leaves)
-        if {int(k) for k in doc["elements"]} != live:
-            raise SnapshotError("element statistics do not match the leaves' elements")
         for key, el_doc in doc["elements"].items():
             stats.load_element(int(key), el_doc)
-        stats.note_loaded(np.array(list(live), dtype=np.int64))
-        _check_leaf_counts(tree, leaves)
+        tree.validate()
+        live = sorted(set(range(tree.pool.capacity)) - set(tree.pool.free_list))
+        if sorted(int(k) for k in doc["elements"]) != live:
+            raise ValueError("element statistics do not match the leaves' elements")
+        stats.note_loaded(np.array(live, dtype=np.int64))
         return tree
-    except SnapshotError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError, RecursionError) as e:
         raise SnapshotError(f"snapshot payload is corrupt: {e}") from None
 
 
-def _node_from_doc(doc: dict, tree: HoeffdingTree, leaves: list[LeafNode],
-                   depth: int = 0) -> Node:
-    max_depth = tree.config.max_depth
+def _node_from_doc(doc: dict, tree: HoeffdingTree, depth: int = 0) -> Node:
+    """The subtree `doc` describes, unchecked; raises `tree.depth` to its deepest leaf."""
     if doc["kind"] == "internal":
-        # a split leaf is shallower than max_depth, so its children fit
-        if depth >= max_depth:
-            raise SnapshotError(f"internal node at depth {depth}, max_depth is {max_depth}")
         return InternalNode(
             doc["attribute"],
             doc["threshold"],
             doc["categorical"],
-            _node_from_doc(doc["left"], tree, leaves, depth + 1),
-            _node_from_doc(doc["right"], tree, leaves, depth + 1),
+            _node_from_doc(doc["left"], tree, depth + 1),
+            _node_from_doc(doc["right"], tree, depth + 1),
         )
     if doc["kind"] != "leaf":
-        raise SnapshotError(f"unknown node kind {doc['kind']!r}")
-    if doc["depth"] != depth:
-        raise SnapshotError(f"leaf at depth {depth} says depth {doc['depth']!r}")
+        raise ValueError(f"unknown node kind {doc['kind']!r}")
+    tree.depth = max(tree.depth, depth)
     if "frozen_counts" in doc:
-        leaf = LeafNode(None, depth, doc["majority"])
-        counts = np.asarray(doc["frozen_counts"], dtype=np.int64)
-        if counts.shape != (tree.schema.class_count,) or (counts < 0).any():
-            raise SnapshotError(
-                f"frozen_counts must be {tree.schema.class_count} non-negative counts")
-        leaf.frozen_counts = counts
+        leaf = LeafNode(None, doc["depth"], doc["majority"])
+        leaf.frozen_counts = np.asarray(doc["frozen_counts"], dtype=np.int64)
     else:
-        leaf = LeafNode(LeafElement(tree.stats, doc["element"]), depth, doc["majority"])
+        leaf = LeafNode(doc["element"], doc["depth"], doc["majority"])
     leaf.majority_count = doc["majority_count"]
-    leaves.append(leaf)
     return leaf
-
-
-def _check_restored(tree: HoeffdingTree, leaves: list[LeafNode]) -> set[int]:
-    """Check restored leaves against the element pool and the leaf
-    counters; return the element ids the leaves hold."""
-    capacity = tree.pool.capacity
-    live = [leaf.element.eid for leaf in leaves if not leaf.frozen]
-    # rules out ids out of range, held by two leaves, listed twice, or
-    # both held and free
-    if sorted(live + tree.pool.free_list) != list(range(capacity)):
-        raise SnapshotError(
-            f"leaf elements and the free list do not partition the pool 0..{capacity - 1}"
-        )
-    frozen = len(leaves) - len(live)
-    if (tree.leaf_count, tree.frozen_leaf_count) != (len(leaves), frozen):
-        raise SnapshotError(
-            f"counters say {tree.leaf_count} leaves ({tree.frozen_leaf_count} frozen), "
-            f"the tree has {len(leaves)} ({frozen} frozen)"
-        )
-    return set(live)
-
-
-def _check_leaf_counts(tree: HoeffdingTree, leaves: list[LeafNode]) -> None:
-    """Check each restored leaf's majority against its class counts (its
-    element's, or its frozen ones), and each live element's n_f against
-    its per-class counts."""
-    stats = tree.stats
-    live = [leaf for leaf in leaves if not leaf.frozen]
-    frozen = [leaf for leaf in leaves if leaf.frozen]
-    eids = np.array([leaf.element.eid for leaf in live], dtype=np.int64)
-    if (stats.n_f[eids] != stats.n_fj[eids].sum(axis=1)).any():
-        raise SnapshotError("an element's n_f is not the sum of its class counts")
-    frozen_counts = np.array([leaf.frozen_counts for leaf in frozen], dtype=np.int64)
-    counts = np.concatenate([stats.n_fj[eids],
-                             frozen_counts.reshape(len(frozen), stats.class_count)])
-    majority = np.array([leaf.cached_majority for leaf in live + frozen])
-    majority_count = np.array([leaf.majority_count for leaf in live + frozen])
-    if (majority.dtype.kind != "i"
-            or ((majority < 0) | (majority >= stats.class_count)).any()):
-        raise SnapshotError("a leaf's majority is not a class")
-    if majority_count.dtype.kind != "i" or (majority_count != counts.max(axis=1)).any():
-        raise SnapshotError("a leaf's majority_count is not its largest class count")
-    # the tree's rule: ties go to the lower class
-    if ((majority_count > 0) & (majority != counts.argmax(axis=1))).any():
-        raise SnapshotError("a leaf's majority is not the lowest class with the largest count")

@@ -21,7 +21,8 @@ from streamtree.harness import compare_methods, run_once, sweep_quantiles
 from streamtree.leaf_stats import ClassDistPair, StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample, load_schema
 from streamtree.split_eval import gini_reduction, hoeffding_bound, split_quality
-from streamtree.tree import HoeffdingTree, LeafNode, TreeConfig
+from streamtree.tree import HoeffdingTree, TreeConfig
+from tree_oracle import check_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -305,46 +306,6 @@ FUZZ_SCHEMA = DatasetSchema(
     class_count=5)
 
 
-def check_invariants(tree: HoeffdingTree) -> None:
-    config = tree.config
-    pool = tree.pool
-    stats = tree.stats
-    leaves = 0
-    frozen = 0
-    deepest = 0
-    seen = set()
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, LeafNode):
-            assert node.depth == depth
-            assert depth <= config.max_depth
-            deepest = max(deepest, depth)
-            leaves += 1
-            if node.frozen:
-                frozen += 1
-                assert node.frozen_counts is not None
-            else:
-                eid = node.element.eid
-                assert eid not in seen, f"element {eid} shared by two leaves"
-                seen.add(eid)
-        else:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-    assert leaves == tree.leaf_count
-    assert leaves <= config.max_leaves
-    assert deepest == tree.depth
-    assert frozen == tree.frozen_leaf_count
-    assert pool.allocated_count == leaves - frozen == len(seen)
-    assert pool.allocated_count + pool.free_count == pool.capacity
-    assert seen.isdisjoint(pool.free_list)
-    assert sorted(list(seen) + pool.free_list) == list(range(pool.capacity))
-    if seen:
-        ids = sorted(seen)
-        assert np.array_equal(stats.n_f[ids], stats.n_fj[ids].sum(axis=1)), \
-            "per-class counts do not sum to the element total"
-
-
 def test_c09_structural_invariants_fuzz():
     """10^6 training calls never break the leaf cap, the depth cap, pool
     conservation, or per-class count totals."""
@@ -363,8 +324,8 @@ def test_c09_structural_invariants_fuzz():
         train(Sample([xs[i, 0], xs[i, 1], xs[i, 2], int(cats[i])],
                      int(labels[i])))
         if (i + 1) % 20_000 == 0:
-            check_invariants(tree)
-    check_invariants(tree)
+            check_tree(tree)
+    check_tree(tree)
     assert tree.train_count == n
     # the stream must actually have pushed the structure around
     assert tree.split_count > 100

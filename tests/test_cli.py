@@ -197,7 +197,8 @@ def test_cdf_export_limit_below_one(stream, capsys, limit):
 
 
 @pytest.mark.parametrize("flags", [["--lambda", "0"], ["--lambda", "-0.01"],
-                                   ["--quantiles", "1"]])
+                                   ["--quantiles", "1"], ["--lambda", "nan"],
+                                   ["--lambda", "inf"], ["--tau", "nan"], ["--tau", "inf"]])
 def test_cdf_export_bad_tracker_config(stream, capsys, flags):
     # the same error eval gives for the same flags
     data, schema = stream

@@ -67,7 +67,7 @@ class TestInterleaved:
         with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
             interleaved_test_then_train(tree, stream)
         assert tree.train_count == 1
-        assert tree.root.element.n_f == 1
+        assert tree.stats.n_f[tree.root.eid] == 1
 
     def test_determinism_excluding_wall_time(self):
         runs = []

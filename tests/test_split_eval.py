@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from streamtree.leaf_stats import ClassDistPair, LeafElement, StatsPool
+from streamtree.leaf_stats import ClassDistPair, StatsPool
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
 from streamtree.split_eval import (
     REASON_GAIN,
@@ -158,12 +158,12 @@ TWO_NUM = DatasetSchema(
 
 
 def fill_element(schema, samples, **pool_kw):
+    """A pool whose element 0 has observed samples."""
     pool_kw.setdefault("capacity", 2)
     pool = StatsPool(schema, **pool_kw)
-    el = LeafElement(pool, 0)
     for s in samples:
-        el.observe(s)
-    return el
+        pool.observe(0, s.values, s.label)
+    return pool
 
 
 class TestEvaluateSplitTrial:
@@ -175,8 +175,8 @@ class TestEvaluateSplitTrial:
             y = int(rng.integers(0, 2))
             x0 = rng.uniform(0.1, 1.0) if y else rng.uniform(-1.0, -0.1)
             samples.append(Sample([float(x0), float(rng.uniform(-1, 1))], y))
-        el = fill_element(TWO_NUM, samples)
-        decision = evaluate_split_trial(el, TreeConfig())
+        pool = fill_element(TWO_NUM, samples)
+        decision = evaluate_split_trial(pool, 0, TreeConfig())
         assert decision.taken
         assert decision.reason == REASON_GAIN
         assert decision.best.attribute == 0
@@ -185,8 +185,8 @@ class TestEvaluateSplitTrial:
 
     def test_no_candidates_not_taken(self):
         samples = [Sample([0.5, 0.5], 0) for _ in range(400)]
-        el = fill_element(TWO_NUM, samples)
-        decision = evaluate_split_trial(el, TreeConfig())
+        pool = fill_element(TWO_NUM, samples)
+        decision = evaluate_split_trial(pool, 0, TreeConfig())
         assert not decision.taken
         assert decision.reason == REASON_NONE
         assert decision.best is None
@@ -200,8 +200,8 @@ class TestEvaluateSplitTrial:
             y = int(rng.integers(0, 2))
             x = rng.uniform(0.1, 1.0) if y else rng.uniform(-1.0, -0.1)
             samples.append(Sample([float(x), float(x)], y))
-        el = fill_element(TWO_NUM, samples)
-        decision = evaluate_split_trial(el, TreeConfig(delta=1e-3, tau=0.05))
+        pool = fill_element(TWO_NUM, samples)
+        decision = evaluate_split_trial(pool, 0, TreeConfig(delta=1e-3, tau=0.05))
         assert decision.taken
         assert decision.epsilon < 0.05
         assert decision.best.attribute == 0  # tie breaks to lower index
@@ -213,8 +213,8 @@ class TestEvaluateSplitTrial:
             y = int(rng.integers(0, 2))
             x = rng.uniform(0.1, 1.0) if y else rng.uniform(-1.0, -0.1)
             samples.append(Sample([float(x), float(x)], y))
-        el = fill_element(TWO_NUM, samples)
-        decision = evaluate_split_trial(el, TreeConfig())
+        pool = fill_element(TWO_NUM, samples)
+        decision = evaluate_split_trial(pool, 0, TreeConfig())
         # at n=1200 eps = 0.0543 > tau and the duplicate kills the gap
         assert not decision.taken
         assert decision.epsilon > 0.05
@@ -226,8 +226,8 @@ class TestEvaluateSplitTrial:
             y = int(rng.integers(0, 2))
             x = rng.uniform(0.1, 1.0) if y else rng.uniform(-1.0, -0.1)
             samples.append(Sample([float(x), 0.25], y))  # attr 1 constant
-        el = fill_element(TWO_NUM, samples)
-        decision = evaluate_split_trial(el, TreeConfig())
+        pool = fill_element(TWO_NUM, samples)
+        decision = evaluate_split_trial(pool, 0, TreeConfig())
         assert decision.taken
         assert decision.second_best is None
 
@@ -245,8 +245,8 @@ class TestEvaluateSplitTrial:
             y = int(rng.integers(0, 2))
             code = 2 if y else int(rng.integers(0, 2))
             samples.append(Sample([code, float(rng.uniform(-1, 1))], y))
-        el = fill_element(schema, samples)
-        decision = evaluate_split_trial(el, TreeConfig())
+        pool = fill_element(schema, samples)
+        decision = evaluate_split_trial(pool, 0, TreeConfig())
         assert decision.taken
         assert decision.best.attribute == 0
         assert decision.best.split_point == 2

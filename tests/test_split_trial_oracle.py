@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtree.leaf_stats import LeafElement, StatsPool
+from streamtree.leaf_stats import StatsPool
 from streamtree.schema import NUMERIC, AttributeSpec, DatasetSchema, Sample
 from streamtree.split_eval import (
     REASON_GAIN,
@@ -212,14 +212,13 @@ def leaves(draw, method):
     pool = StatsPool(schema, capacity=1, method=config.method,
                      quantile_count=config.quantile_count, lam=config.lam,
                      backend=config.numeric_backend)
-    el = LeafElement(pool, 0)
     for s in samples:
-        el.observe(s)
-    return el, config
+        pool.observe(0, s.values, s.label)
+    return pool, config
 
 
-def check(el, config):
-    assert_same_decision(evaluate_split_trial(el, config), oracle_trial(el.pool, el.eid, config))
+def check(pool, config):
+    assert_same_decision(evaluate_split_trial(pool, 0, config), oracle_trial(pool, 0, config))
 
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -253,13 +252,12 @@ def test_duplicated_columns_tie_like_the_oracle():
             for i in range(3)), 3)
         pool = StatsPool(schema, capacity=1, method=method["method"],
                          backend=method["backend"])
-        el = LeafElement(pool, 0)
         for _ in range(300):
             y = int(rng.integers(0, 3))
             x = float(rng.normal(0.6 * y - 0.6, 0.1))
-            el.observe(Sample([float(rng.uniform(-1, 1)), x, x], y))
+            pool.observe(0, [float(rng.uniform(-1, 1)), x, x], y)
         config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
-        new = evaluate_split_trial(el, config)
+        new = evaluate_split_trial(pool, 0, config)
         assert_same_decision(new, oracle_trial(pool, 0, config))
         assert (new.best.attribute, new.second_best.attribute) == (1, 2), name
         assert new.best.quality == new.second_best.quality, name
@@ -275,11 +273,10 @@ def test_many_attributes_and_classes_match_oracle():
     for method in METHODS.values():
         pool = StatsPool(schema, capacity=2, method=method["method"],
                          backend=method["backend"])
-        el = LeafElement(pool, 1)
         for _ in range(2000):
             y = int(rng.integers(0, 9))
             row = rng.normal(0.05 * y, 0.3, 54)
             row[10:] = rng.random(44) < 0.05 * (y + 1)  # one-hot-like columns
-            el.observe(Sample(np.clip(row, -1, 1).tolist(), y))
+            pool.observe(1, np.clip(row, -1, 1).tolist(), y)
         config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
-        assert_same_decision(evaluate_split_trial(el, config), oracle_trial(pool, 1, config))
+        assert_same_decision(evaluate_split_trial(pool, 1, config), oracle_trial(pool, 1, config))

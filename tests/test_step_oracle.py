@@ -53,6 +53,7 @@ def test_step_matches_predict_then_train_one(preset, config):
     assert stepped.split_log == paired.split_log
     assert stepped.snapshot() == paired.snapshot()
     assert stepped.split_count > 0
+    stepped.validate()
 
 
 # ---------------------------------------------------- fixed observe oracle
@@ -189,6 +190,7 @@ def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, wide, rows,
     assert head.split_log + resumed.split_log == whole.split_log
     assert resumed.stats.saturation_count == whole.stats.saturation_count
     assert resumed.snapshot() == whole.snapshot()
+    whole.validate()
 
 
 def test_restore_recomputes_may_saturate():

@@ -7,7 +7,6 @@ import pytest
 
 from streamtree import fixed_point as fx
 from streamtree import synth
-from streamtree.leaf_stats import LeafElement
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
 from streamtree.tree import (
     HoeffdingTree,
@@ -18,6 +17,7 @@ from streamtree.tree import (
     new_tree,
     restore,
 )
+from tree_oracle import check_tree
 
 TWO_NUM = DatasetSchema(
     (
@@ -28,41 +28,13 @@ TWO_NUM = DatasetSchema(
 )
 
 
-def check_structure(tree):
-    """Walk the tree and re-derive every structural invariant."""
-    leaves = frozen = deepest = 0
-    seen_elements = set()
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if isinstance(node, InternalNode):
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-            continue
-        leaves += 1
-        deepest = max(deepest, d)
-        assert node.depth == d
-        assert d <= tree.config.max_depth
-        if node.frozen:
-            frozen += 1
-        else:
-            assert node.element.eid not in seen_elements
-            seen_elements.add(node.element.eid)
-    assert leaves == tree.leaf_count <= tree.config.max_leaves
-    assert frozen == tree.frozen_leaf_count
-    assert tree.pool.allocated_count == leaves - frozen
-    assert tree.pool.allocated_count + tree.pool.free_count == tree.pool.capacity
-    assert len(seen_elements) == leaves - frozen
-    assert deepest == tree.depth
-
-
 class TestNewTree:
     def test_default_shape(self):
         tree = new_tree(TWO_NUM)
         assert tree.leaf_count == 1
         assert tree.depth == 0
         assert tree.pool.free_count == 1023
-        check_structure(tree)
+        check_tree(tree)
 
     def test_small_pool(self):
         tree = new_tree(TWO_NUM, TreeConfig(max_leaves=2))
@@ -80,6 +52,32 @@ class TestNewTree:
             TreeConfig(method="gaussian", numeric_backend="fixed")
         with pytest.raises(ValueError):
             TreeConfig(method="nope")
+
+    @pytest.mark.parametrize("field", ["delta", "tau", "lam", "r_range"])
+    def test_non_finite_real_rejected(self, field):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                TreeConfig(**{field: bad})
+
+
+class TestValidate:
+    def test_fresh_and_trained_trees_pass(self):
+        tree = new_tree(TWO_NUM)
+        tree.validate()
+        tree.train(separable_stream(5000, seed=7))
+        assert tree.split_count > 0
+        tree.validate()
+
+    @pytest.mark.parametrize("counter, match", [("leaf_count", "counters say 3 leaves"),
+                                                ("split_count", "counters say 3 splits"),
+                                                ("depth", "depth counter says 3")])
+    def test_bumped_counter_raises(self, counter, match):
+        tree = new_tree(TWO_NUM, TreeConfig(max_leaves=4, max_depth=1))
+        tree.train(separable_stream(5000, seed=7))
+        assert tree.leaf_count == 2
+        setattr(tree, counter, 3)
+        with pytest.raises(ValueError, match=match):
+            tree.validate()
 
 
 class TestSortToLeaf:
@@ -158,7 +156,7 @@ class TestTrainOne:
         first = tree.split_log[0]
         assert first.kind == "split"
         assert first.attribute == 0
-        check_structure(tree)
+        check_tree(tree)
 
     def test_accuracy_after_split(self):
         tree = new_tree(TWO_NUM)
@@ -185,7 +183,7 @@ class TestApplySplit:
         assert tree.split_count >= 1
         assert tree.leaf_count == tree.split_count + 1
         assert tree.pool.allocated_count == tree.leaf_count - tree.frozen_leaf_count
-        check_structure(tree)
+        check_tree(tree)
 
     def test_children_inherit_majority(self):
         tree = new_tree(TWO_NUM)
@@ -210,7 +208,7 @@ class TestApplySplit:
             tree.train_one(s)
         assert tree.depth <= 2
         assert tree.freeze_count >= 1
-        check_structure(tree)
+        check_tree(tree)
 
     def test_pool_exhaustion_freezes(self):
         cfg = TreeConfig(max_leaves=4, tau=0.5)
@@ -222,7 +220,7 @@ class TestApplySplit:
             tree.train_one(s)
         assert tree.leaf_count <= 4
         assert tree.freeze_count >= 1
-        check_structure(tree)
+        check_tree(tree)
 
     def test_frozen_leaf_keeps_predicting(self):
         cfg = TreeConfig(max_leaves=2, tau=10.0, n_min=10)
@@ -239,7 +237,7 @@ class TestApplySplit:
         for _ in range(100):
             tree.train_one(Sample([0.5, 0.0], 1))
         assert tree.predict(Sample([0.0, 0.0], 0)) == 1
-        check_structure(tree)
+        check_tree(tree)
 
 
 class TestPredict:
@@ -271,8 +269,7 @@ class TestPredict:
                                   int(rng.integers(0, 2))))
         leaf = tree.root
         if isinstance(leaf, LeafNode) and not leaf.frozen:
-            el = leaf.element
-            assert leaf.cached_majority == int(np.argmax(el.n_fj))
+            assert leaf.cached_majority == int(np.argmax(tree.stats.n_fj[leaf.eid]))
 
 
 class TestSnapshot:
@@ -286,7 +283,7 @@ class TestSnapshot:
         tree = new_tree(TWO_NUM)
         tree.train(separable_stream(10_000, seed=7))
         clone = restore(tree.snapshot())
-        check_structure(clone)
+        check_tree(clone)
         assert clone.depth == tree.depth > 0
         for s in separable_stream(1000, seed=11):
             assert clone.predict(s) == tree.predict(s)
@@ -484,6 +481,55 @@ class TestSnapshotValidation:
         doc["tree"]["majority"] = 1
         self.rejects(doc, "not the lowest class")
 
+    @pytest.mark.parametrize("counter, bad, match", [
+        ("splits", 999, "counters say 999 splits"),
+        ("freezes", 0, "0 freezes"),
+        ("trials", 0, "counters say 0 trials"),
+        ("trained", -5, "must be >= 0"),
+        ("saturations", -1, "must be >= 0"),
+    ])
+    def test_counter_contradicts_the_tree(self, counter, bad, match):
+        doc = self.doc()
+        doc["counters"][counter] = bad
+        self.rejects(doc, match)
+
+    def freeze(self, doc, leaf):
+        """Freeze a live leaf as the tree would, freeing its element."""
+        e = leaf.pop("element")
+        leaf["frozen_counts"] = doc["elements"].pop(str(e))["n_fj"]
+        doc["free_list"].append(e)
+        for counter in ("frozen_leaves", "freezes", "trials"):
+            doc["counters"][counter] += 1
+
+    def test_more_leaves_than_max_leaves(self):
+        doc = self.doc()
+        for leaf in self.live_leaves(doc):
+            self.freeze(doc, leaf)
+        restore(json.dumps(doc).encode())
+        # every leaf frozen, so a four-element pool is all free
+        doc["config"]["max_leaves"] = 4
+        doc["free_list"] = [3, 2, 1, 0]
+        doc["generations"] = doc["generations"][:4]
+        assert doc["counters"]["leaves"] == 8
+        self.rejects(doc, "the tree has 8 leaves, max_leaves is 4")
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True])
+    def test_leaf_element_not_an_int(self, bad):
+        doc = self.doc()
+        leaf = next(leaf for leaf in self.live_leaves(doc) if leaf["element"] == 1)
+        leaf["element"] = bad
+        self.rejects(doc, "element id .* is not an int")
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True])
+    def test_free_list_entry_not_an_int(self, bad):
+        doc = self.doc()
+        leaf = next(leaf for leaf in self.live_leaves(doc) if leaf["element"] == 1)
+        self.freeze(doc, leaf)
+        restore(json.dumps(doc).encode())
+        assert doc["free_list"][-1] == 1
+        doc["free_list"][-1] = bad
+        self.rejects(doc, "element id .* is not an int")
+
     def test_deeply_nested_payload(self):
         doc = json.loads(new_tree(TWO_NUM).snapshot())
         leaf = json.dumps(doc["tree"])
@@ -519,13 +565,13 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="attribute 1 \\('a1'\\) is not finite: -inf"):
             tree.train_one(Sample([0.5, float("-inf")], 1))
         assert tree.train_count == 0
-        assert tree.root.element.n_f == 0
+        assert tree.stats.n_f[tree.root.eid] == 0
 
     def test_finite_values_whose_sum_overflows_are_accepted(self):
         tree = new_tree(TWO_NUM)
         tree.train_one(Sample([1e308, 1e308], 1))
         assert tree.train_count == 1
-        assert tree.root.element.n_f == 1
+        assert tree.stats.n_f[tree.root.eid] == 1
         assert tree.predict(Sample([1e308, 1e308], 0)) == 1
         assert tree.step(Sample([1e308, 1e308], 0)) == 1
 
@@ -546,7 +592,7 @@ class TestFixedSaturation:
     def test_huge_value_seeds_trackers_at_the_top_edge(self):
         tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
         tree.train_one(Sample([1e10, 0.5], 0))
-        q = tree.stats.trackers[tree.root.element.eid, 0, 0]
+        q = tree.stats.trackers[tree.root.eid, 0, 0]
         assert (q == fx.RAW_MAX).all()
         assert tree.stats.saturation_count == 1
 
@@ -565,4 +611,4 @@ class TestXor:
                    for s in synth.generate("xor", 5000, seed=4))
         assert hits / 5000 > 0.9
         assert tree.depth >= 2
-        check_structure(tree)
+        check_tree(tree)
