@@ -6,8 +6,9 @@ edge instead of wrapping, at any finite magnitude (2.5, 1e10 and 1e300
 all give RAW_MAX). Raw words are plain Python ints or int64 numpy arrays;
 there is no boxed scalar type. The fixed numeric backend keeps its
 quantile trackers as raw words: `float_to_raw_array` brings samples and
-split points into tracker units, clipping only when a value saturates,
-and `saturate_raw_array` clips a tracker step once a sample has come
+split points into tracker units, clipping only when a value saturates
+(`quantize_array` rounds a sample already known to lie inside), and
+`saturate_raw_array` clips a tracker step once a sample has come
 within one step of the edge (see `leaf_stats`).
 """
 
@@ -70,8 +71,14 @@ def float_to_raw_array(x: np.ndarray) -> tuple[np.ndarray, int]:
     saturated = int(np.count_nonzero((x >= _X_MAX) | (x < _X_MIN)))
     if saturated:
         x = np.clip(x, RAW_MIN / SCALE, RAW_MAX / SCALE)
+    return quantize_array(x), saturated
+
+
+def quantize_array(x: np.ndarray) -> np.ndarray:
+    """Raw words of float64 reals the caller knows lie inside Q2.30: the
+    rounding of `float_to_raw_array` without its edge test."""
     scaled = x * SCALE
-    return np.rint(scaled, out=scaled).astype(np.int64), saturated
+    return np.rint(scaled, out=scaled).astype(np.int64)
 
 
 def raw_to_float_array(raw: np.ndarray) -> np.ndarray:

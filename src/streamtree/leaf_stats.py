@@ -27,11 +27,13 @@ reads neither back from the arrays.
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
 reals enter tracker units, and in saturation. A fixed sample is clipped
-(and counted) only when it lies outside Q2.30. A fixed tracker step is
-clipped (and counted) only once the pool `may_saturate`. A tracker is
-seeded at a sample, and a step moves it up only while it is below the
-sample and down only while it is not, by at most one step, so trackers
-stay within one step of the range of the values their element has seen.
+(and counted) only when it lies outside Q2.30, and it is tested against
+the Q2.30 edges only when it comes within one step of them (no sample
+in [-1, 1] does). A fixed tracker step is clipped (and counted) only
+once the pool `may_saturate`. A tracker is seeded at a sample, and a
+step moves it up only while it is below the sample and down only while
+it is not, by at most one step, so trackers stay within one step of the
+range of the values their element has seen.
 Until some value observed (or, after `restore`, held in a payload) lies
 within one step of the Q2.30 edge, no step can leave the window and the
 clip, which would change nothing, is skipped; from then on every step is
@@ -70,6 +72,18 @@ def default_targets(count: int) -> tuple[float, ...]:
     if count < 2:
         raise ValueError("quantile count must be >= 2")
     return tuple(k / (count + 1) for k in range(1, count + 1))
+
+
+def int_array(values, what: str) -> np.ndarray:
+    """JSON `values` (an int or nested lists of ints) as an int64 array.
+
+    Raises ValueError naming `what` for any entry that is not an int; a
+    float (even 2.0) or a bool would otherwise be truncated or coerced.
+    """
+    arr = np.array(values, dtype=object)
+    if not set(map(type, arr.flat)) <= {int}:
+        raise ValueError(f"{what} holds a value that is not an int")
+    return arr.astype(np.int64)
 
 
 class ClassDistPair(NamedTuple):
@@ -177,9 +191,9 @@ class StatsPool:
     def load_element(self, e: int, doc: dict) -> None:
         """Overwrite element e's statistics from an `element_doc` dict."""
         for key, (arr, _) in self.element_arrays.items():
-            arr[e] = doc[key]
+            arr[e] = int_array(doc[key], key) if arr.dtype.kind == "i" else doc[key]
         for h, vals in zip(self.hists, doc["hists"], strict=True):
-            h[e] = vals
+            h[e] = int_array(vals, "hists")
 
     def _to_tracker_units(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Reals in tracker units, with how many saturated on the way."""
@@ -202,12 +216,15 @@ class StatsPool:
             hi = self.max_a[e]
             np.maximum(hi, xv, out=hi)
             if self.method == METHOD_QUANTILE:
-                xt, sat = self._to_tracker_units(xv)
-                if self.backend == BACKEND_FIXED:
+                if self.backend == BACKEND_FLOAT:
+                    xt = xv
+                elif self._safe_lo <= min(xs) and max(xs) <= self._safe_hi:
+                    # inside the window, so no value saturates on conversion
+                    xt = fx.quantize_array(xv)
+                else:
+                    xt, sat = fx.float_to_raw_array(xv)
                     self.saturation_count += sat
-                    if not self.may_saturate and (max(xs) > self._safe_hi
-                                                  or min(xs) < self._safe_lo):
-                        self.may_saturate = True
+                    self.may_saturate = True
                 v = self.trackers[e, :, label, :]
                 if cj == 1:
                     v[...] = xt[:, None]

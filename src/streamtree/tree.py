@@ -33,6 +33,7 @@ from .leaf_stats import (
     METHOD_GAUSSIAN,
     METHOD_QUANTILE,
     StatsPool,
+    int_array,
 )
 from .schema import CATEGORICAL, DatasetSchema, Sample, parse_schema, schema_to_json
 
@@ -477,7 +478,7 @@ def restore(payload: bytes) -> HoeffdingTree:
         config = TreeConfig(**doc["config"])
         tree = HoeffdingTree(schema, config)
         stats = tree.stats
-        stats.generation[:] = doc["generations"]
+        stats.generation[:] = int_array(doc["generations"], "generations")
         tree.pool.free_list = list(doc["free_list"])
         tree.root = _node_from_doc(doc["tree"], tree)
         counters = doc["counters"]
@@ -496,7 +497,7 @@ def restore(payload: bytes) -> HoeffdingTree:
             raise ValueError("element statistics do not match the leaves' elements")
         stats.note_loaded(np.array(live, dtype=np.int64))
         return tree
-    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as e:
         raise SnapshotError(f"snapshot payload is corrupt: {e}") from None
 
 
@@ -515,7 +516,7 @@ def _node_from_doc(doc: dict, tree: HoeffdingTree, depth: int = 0) -> Node:
     tree.depth = max(tree.depth, depth)
     if "frozen_counts" in doc:
         leaf = LeafNode(None, doc["depth"], doc["majority"])
-        leaf.frozen_counts = np.asarray(doc["frozen_counts"], dtype=np.int64)
+        leaf.frozen_counts = int_array(doc["frozen_counts"], "frozen_counts")
     else:
         leaf = LeafNode(doc["element"], doc["depth"], doc["majority"])
     leaf.majority_count = doc["majority_count"]

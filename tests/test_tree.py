@@ -530,6 +530,67 @@ class TestSnapshotValidation:
         doc["free_list"][-1] = bad
         self.rejects(doc, "element id .* is not an int")
 
+    # a non-int in an int64 array: off by half, integral but a float, a bool
+    SPOILS = pytest.mark.parametrize("spoil", [lambda v: v + 0.5, float, bool],
+                                     ids=["half", "float", "bool"])
+
+    def element(self, doc):
+        return doc["elements"][str(self.live_leaves(doc)[0]["element"])]
+
+    def fixed_categorical_doc(self):
+        """A fixed-backend payload over a categorical attribute: its
+        trackers (`qraw`) and `hists` are int arrays."""
+        tree = new_tree(synth.preset_schema("categorical"),
+                        TreeConfig(numeric_backend="fixed"))
+        tree.train(synth.generate("categorical", 2000, seed=3))
+        return json.loads(tree.snapshot())
+
+    @SPOILS
+    def test_generation_not_an_int(self, spoil):
+        doc = self.doc()
+        doc["generations"][0] = spoil(doc["generations"][0])
+        self.rejects(doc, "generations holds a value that is not an int")
+
+    @SPOILS
+    def test_frozen_count_not_an_int(self, spoil):
+        doc = self.doc()
+        counts = self.frozen_leaves(doc)[0]["frozen_counts"]
+        counts[0] = spoil(counts[0])
+        self.rejects(doc, "frozen_counts holds a value that is not an int")
+
+    @SPOILS
+    def test_element_total_not_an_int(self, spoil):
+        doc = self.doc()
+        el = self.element(doc)
+        el["n_f"] = spoil(el["n_f"])
+        self.rejects(doc, "n_f holds a value that is not an int")
+
+    @SPOILS
+    def test_class_count_not_an_int(self, spoil):
+        doc = self.doc()
+        counts = self.element(doc)["n_fj"]
+        counts[0] = spoil(counts[0])
+        self.rejects(doc, "n_fj holds a value that is not an int")
+
+    @SPOILS
+    def test_histogram_count_not_an_int(self, spoil):
+        doc = self.fixed_categorical_doc()
+        hist = self.element(doc)["hists"][0]
+        hist[0][0] = spoil(hist[0][0])
+        self.rejects(doc, "hists holds a value that is not an int")
+
+    @SPOILS
+    def test_fixed_tracker_not_an_int(self, spoil):
+        doc = self.fixed_categorical_doc()
+        trackers = self.element(doc)["qraw"]
+        trackers[0][0][0] = spoil(trackers[0][0][0])
+        self.rejects(doc, "qraw holds a value that is not an int")
+
+    def test_count_too_large_for_int64(self):
+        doc = self.doc()
+        self.element(doc)["n_fj"][0] = 2 ** 70
+        self.rejects(doc, "corrupt")
+
     def test_deeply_nested_payload(self):
         doc = json.loads(new_tree(TWO_NUM).snapshot())
         leaf = json.dumps(doc["tree"])
