@@ -8,8 +8,8 @@ there is no boxed scalar type. The fixed numeric backend keeps its
 quantile trackers as raw words: `float_to_raw_array` brings samples and
 split points into tracker units, clipping only when a value saturates
 (`quantize_array` rounds a sample already known to lie inside), and
-`saturate_raw_array` clips a tracker step once a sample has come
-within one step of the edge (see `leaf_stats`).
+`saturate_raw_array` clips a tracker step toward a sample within one
+step of the edge (see `leaf_stats`).
 """
 
 from __future__ import annotations

@@ -26,20 +26,18 @@ reads neither back from the arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
-reals enter tracker units, and in saturation. A fixed sample is clipped
-(and counted) only when it lies outside Q2.30, and it is tested against
-the Q2.30 edges only when it comes within one step of them (no sample
-in [-1, 1] does). A fixed tracker step is clipped (and counted) only
-once the pool `may_saturate`. A tracker is seeded at a sample, and a
-step moves it up only while it is below the sample and down only while
-it is not, by at most one step, so trackers stay within one step of the
-range of the values their element has seen.
-Until some value observed (or, after `restore`, held in a payload) lies
-within one step of the Q2.30 edge, no step can leave the window and the
-clip, which would change nothing, is skipped; from then on every step is
-clipped, as every step was before the check existed. Only `StatsPool`
-knows which arrays an element owns: recycling and snapshots walk
-`element_arrays` and `hists`.
+reals enter tracker units, and in saturation. On the fixed backend one
+test per sample decides both: a sample whose values all lie in the safe
+window, at least one step inside the Q2.30 edges (every sample in
+[-1, 1] does), is rounded with no edge test and its tracker step is not
+clipped; any other sample is converted with clipping and counting, and
+its step is clipped and counted. The skipped clip could change nothing:
+trackers start inside Q2.30 (they are seeded at converted samples, and
+`restore` rejects a payload whose trackers do not), a step moves a
+tracker up only while it is below the sample and down only while it is
+not, by at most one step, so a step toward a sample in the window stays
+inside Q2.30. Only `StatsPool` knows which arrays an element owns:
+recycling and snapshots walk `element_arrays` and `hists`.
 
 A split trial reads one element as whole-leaf tables over the A numeric
 attributes that can split (min < max), P split points per attribute, |C|
@@ -170,9 +168,6 @@ class StatsPool:
             self.element_arrays["g_vsum"] = (self.g_vsum, 0.0)
 
         self.saturation_count = 0
-        # sticky: some value seen came within one tracker step of the Q2.30
-        # edge, so fixed tracker steps are clipped from now on
-        self.may_saturate = False
 
     def reset_element(self, e: int) -> None:
         """Recycle element e: clear its statistics and count the recycling."""
@@ -216,21 +211,23 @@ class StatsPool:
             hi = self.max_a[e]
             np.maximum(hi, xv, out=hi)
             if self.method == METHOD_QUANTILE:
+                # inside the window no value saturates, on conversion or
+                # in the step toward it
+                edge = False
                 if self.backend == BACKEND_FLOAT:
                     xt = xv
                 elif self._safe_lo <= min(xs) and max(xs) <= self._safe_hi:
-                    # inside the window, so no value saturates on conversion
                     xt = fx.quantize_array(xv)
                 else:
                     xt, sat = fx.float_to_raw_array(xv)
                     self.saturation_count += sat
-                    self.may_saturate = True
+                    edge = True
                 v = self.trackers[e, :, label, :]
                 if cj == 1:
                     v[...] = xt[:, None]
                 else:
                     v += np.where(v < xt[:, None], self.step_up, self._neg_step_down)
-                    if self.may_saturate:
+                    if edge:
                         self.saturation_count += fx.saturate_raw_array(v)
             else:
                 if cj == 1:
@@ -246,19 +243,6 @@ class StatsPool:
         for i, h in zip(self.cat_idx, self.hists):
             h[e, values[i], label] += 1
         return n, cj
-
-    def note_loaded(self, eids: np.ndarray) -> None:
-        """Recompute `may_saturate` once elements `eids` are loaded from a
-        snapshot: on if one of their observed ranges or trackers comes
-        within one step of the Q2.30 edge. Trackers count too, because a
-        payload need not keep them within their element's range."""
-        if self.backend != BACKEND_FIXED or not self.numeric_idx or not len(eids):
-            return
-        # an attribute an element has not seen holds min +inf, max -inf
-        q = self.trackers[eids]
-        hi = max(self.max_a[eids].max(), q.max() / fx.SCALE)
-        lo = min(self.min_a[eids].min(), q.min() / fx.SCALE)
-        self.may_saturate = bool(hi > self._safe_hi or lo < self._safe_lo)
 
     def split_points(self, e: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The (A,) mask of numeric attributes whose observed range is not

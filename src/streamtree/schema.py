@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
@@ -66,6 +67,12 @@ class AttributeSpec:
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise SchemaError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
+        if self.kind == NUMERIC and not math.isfinite(self.declared_max - self.declared_min):
+            # an infinite span normalizes every value to NaN
+            raise SchemaError(
+                f"attribute {self.name!r}: declared_min and declared_max must be finite, "
+                "and so must their difference"
+            )
         if self.kind == NUMERIC and not self.declared_min < self.declared_max:
             raise SchemaError(
                 f"attribute {self.name!r}: declared_min must be < declared_max"
@@ -86,18 +93,21 @@ class DatasetSchema:
             raise SchemaError("schema needs at least one attribute")
         if self.class_count < 2:
             raise SchemaError("class_count must be >= 2")
-        if isinstance(self.label_column, str) and self.label_column != "last":
-            raise SchemaError('label_column must be an integer or "last"')
+        # a bool or a float is not a column number
+        at = self.label_column
+        if not (at == "last" or (type(at) is int and -1 <= at <= self.attr_count)):
+            raise SchemaError(f'label_column must be "last", -1 or an integer in '
+                              f"0..{self.attr_count}, not {at!r}")
 
     @property
     def attr_count(self) -> int:
         return len(self.attributes)
 
     def label_index(self) -> int:
-        """Resolve the label column for a row of attr_count+1 fields."""
-        if self.label_column == "last":
+        """The label's column, 0..attr_count, in a row of attr_count+1 fields."""
+        if self.label_column in ("last", -1):
             return self.attr_count
-        return int(self.label_column)
+        return self.label_column
 
 
 class Sample(NamedTuple):
@@ -333,9 +343,6 @@ class _Block:
     def __init__(self, schema: DatasetSchema, label_at: int):
         attrs = schema.attributes
         self.class_count = schema.class_count
-        self.dtype = None
-        if not 0 <= label_at <= len(attrs):
-            return  # a negative or too large label index: _row alone reads it
         kinds = [a.kind for a in attrs]
         kinds.insert(label_at, "label")
         fields = []
@@ -362,7 +369,7 @@ class _Block:
         """(sample, clamps) pairs for the chunk's rows, or None to refuse it."""
         text = "".join(lines)
         limit = csv.field_size_limit()  # csv.reader raises on a longer field
-        if (self.dtype is None or not text.isascii()
+        if (not text.isascii()
                 or any(c in text for c in _NUMPY_ONLY_SPACES)
                 or (len(text) > limit and max(map(len, lines)) > limit)):
             return None

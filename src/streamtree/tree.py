@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from . import fixed_point as fx
 from . import split_eval
 from .leaf_stats import (
     BACKEND_FIXED,
@@ -219,18 +220,14 @@ class HoeffdingTree:
         if e is None:
             counts = leaf.frozen_counts
             counts[label] += 1
-            c = counts[label]
-            if (c > leaf.majority_count
-                    or (c == leaf.majority_count and label < leaf.cached_majority)):
-                leaf.cached_majority = label
-                leaf.majority_count = int(c)
-            return None
-        n, c = self.stats.observe(e, s.values, label)
+            c = counts.item(label)
+        else:
+            n, c = self.stats.observe(e, s.values, label)
         if (c > leaf.majority_count
                 or (c == leaf.majority_count and label < leaf.cached_majority)):
             leaf.cached_majority = label
             leaf.majority_count = c
-        if n % self.config.n_min == 0:
+        if e is not None and n % self.config.n_min == 0:
             self.trial_count += 1
             decision = split_eval.evaluate_split_trial(self.stats, e, self.config)
             if decision.taken:
@@ -271,9 +268,8 @@ class HoeffdingTree:
     def _freeze(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
         e = leaf.eid
         n = self.stats.n_f.item(e)
+        # the leaf's majority and majority_count already follow these counts
         leaf.frozen_counts = self.stats.n_fj[e].copy()
-        leaf.majority_count = int(leaf.frozen_counts.max())
-        leaf.cached_majority = int(np.argmax(leaf.frozen_counts))
         self.pool.release(e)
         leaf.eid = None
         self.frozen_leaf_count += 1
@@ -335,8 +331,9 @@ class HoeffdingTree:
 
     def validate(self) -> None:
         """Check the tree's invariants (the caps, the counters, the pool,
-        the class counts; README "Library use" lists them) in one walk, and
-        raise ValueError naming the first one broken."""
+        the class counts, the live elements' statistics; README "Library
+        use" lists them) in one walk, and raise ValueError naming the first
+        one broken."""
         cfg = self.config
         stats = self.stats
         C = stats.class_count
@@ -410,6 +407,24 @@ class HoeffdingTree:
         # the tree's rule: ties go to the lower class
         if ((majority_count > 0) & (majority != counts.argmax(axis=1))).any():
             raise ValueError("a leaf's majority is not the lowest class with the largest count")
+
+        lo, hi = stats.min_a[idx], stats.max_a[idx]
+        ranged = (-np.inf < lo) & (lo <= hi) & (hi < np.inf)  # finite; False for NaN
+        empty = (lo == np.inf) & (hi == -np.inf)
+        if not np.where((stats.n_f[idx] > 0)[:, None], ranged, empty).all():
+            raise ValueError("an element's min_a..max_a is not (inf, -inf) before its first "
+                             "sample, or finite with min_a <= max_a after it")
+        if stats.backend == BACKEND_FIXED:
+            # observe clips a step only toward a sample near the Q2.30 edge,
+            # so it relies on every tracker starting inside Q2.30
+            q = stats.trackers[idx]
+            if ((q < fx.RAW_MIN) | (q > fx.RAW_MAX)).any():
+                raise ValueError("a raw tracker lies outside Q2.30")
+        else:
+            moments = ((stats.trackers,) if cfg.method == METHOD_QUANTILE
+                       else (stats.g_mean, stats.g_vsum))
+            if not all(np.isfinite(a[idx]).all() for a in moments):
+                raise ValueError("an element's tracker or gaussian statistics are not finite")
 
     # ------------------------------------------------------------ snapshot
 
@@ -495,7 +510,6 @@ def restore(payload: bytes) -> HoeffdingTree:
         live = sorted(set(range(tree.pool.capacity)) - set(tree.pool.free_list))
         if sorted(int(k) for k in doc["elements"]) != live:
             raise ValueError("element statistics do not match the leaves' elements")
-        stats.note_loaded(np.array(live, dtype=np.int64))
         return tree
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as e:
         raise SnapshotError(f"snapshot payload is corrupt: {e}") from None

@@ -100,10 +100,22 @@ def test_missing_schema_is_status_3(stream, tmp_path, capsys):
     assert rc == 3
 
 
-def test_bad_schema_is_status_4(stream, tmp_path, capsys):
-    data, _ = stream
+@pytest.mark.parametrize("edit", [
+    lambda doc: {"attributes": []},
+    lambda doc: {**doc, "label_column": 7},
+    lambda doc: {**doc, "label_column": -2},
+    lambda doc: {**doc, "label_column": True},
+    lambda doc: {**doc, "label_column": 1.5},
+    lambda doc: {**doc, "attributes": [{**doc["attributes"][0], "min": float("-inf")},
+                                       *doc["attributes"][1:]]},
+], ids=["no-attributes", "label-past-row", "label-minus-2", "label-bool", "label-float",
+        "infinite-min"])
+def test_bad_schema_is_status_4(stream, tmp_path, capsys, edit):
+    data, schema = stream
+    with open(schema) as fh:
+        doc = json.load(fh)
     bad = tmp_path / "bad.json"
-    bad.write_text('{"attributes": []}')
+    bad.write_text(json.dumps(edit(doc)))
     rc = cli.run(["eval", "--data", data, "--schema", str(bad)])
     capsys.readouterr()
     assert rc == 4

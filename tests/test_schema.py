@@ -63,6 +63,31 @@ class TestParseSchema:
                 '{"attributes": [{"kind": "numeric", "min": 0, "max": 1}], "classes": 1}'
             )
 
+    @pytest.mark.parametrize("field, bad", [
+        ("label_column", 4), ("label_column", 7), ("label_column", -2),
+        ("label_column", -4), ("label_column", True), ("label_column", 1.5),
+        ("label_column", 1.0), ("label_column", "first"), ("label_column", None),
+        ("min", float("-inf")), ("max", float("inf")), ("min", float("nan")),
+        ("min", -1e308),
+    ])
+    def test_bad_label_column_or_bound_rejected(self, field, bad):
+        doc = json.loads(TWO_NUM_ONE_CAT)
+        if field == "label_column":
+            doc[field] = bad
+        else:
+            doc["attributes"][0].update({"min": 0, "max": 1e308, field: bad})
+        with pytest.raises(SchemaError):
+            parse_schema(json.dumps(doc))
+
+    @pytest.mark.parametrize("label_column, index", [("last", 3), (-1, 3), (0, 0), (3, 3)])
+    def test_label_column_resolves(self, label_column, index):
+        doc = json.loads(TWO_NUM_ONE_CAT)
+        doc["label_column"] = label_column
+        schema = parse_schema(json.dumps(doc))
+        assert schema.label_index() == index
+        assert schema.label_column == label_column
+        assert parse_schema(schema_to_json(schema)) == schema
+
     def test_not_json(self):
         with pytest.raises(SchemaError):
             parse_schema("attributes: nope")

@@ -2,12 +2,12 @@
 
 `HoeffdingTree.step` routes a sample once to predict and train; it must
 match `predict` followed by `train_one` exactly. On the fixed backend
-`StatsPool.observe` clips a tracker step only once the pool may saturate;
-`OracleElement` keeps the earlier step, which clipped every conversion
-after an int64 cast and every tracker step, and the pool must keep its
-trackers and `saturation_count` equal to it. A snapshot taken mid-stream
-and restored must finish the stream exactly as the uninterrupted tree.
-Every comparison is `==`.
+`StatsPool.observe` clips a tracker step only toward a sample within one
+step of the Q2.30 edge; `OracleElement` keeps the earlier step, which
+clipped every conversion after an int64 cast and every tracker step, and
+the pool must keep its trackers and `saturation_count` equal to it. A
+snapshot taken mid-stream and restored must finish the stream exactly as
+the uninterrupted tree. Every comparison is `==`.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from streamtree import fixed_point as fx
 from streamtree import synth
 from streamtree.leaf_stats import StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
-from streamtree.tree import TreeConfig, new_tree, restore
+from streamtree.tree import SnapshotError, TreeConfig, new_tree, restore
 
 CONFIGS = {
     "quantile-float": TreeConfig(),
@@ -135,17 +135,33 @@ def test_oracle_examples_saturate_tracker_steps():
         assert oracle.saturations > 0
 
 
-def test_pool_starts_unsaturated_and_stays_so_in_range():
-    pool = StatsPool(TWO_NUM, capacity=2, backend="fixed")
-    rng = np.random.default_rng(4)
-    for _ in range(500):
-        pool.observe(int(rng.integers(0, 2)), rng.uniform(-1, 1, 2).tolist(),
-                     int(rng.integers(0, 2)))
-    assert not pool.may_saturate
-    pool.observe(0, [0.2, 1.995], 0)
-    assert pool.may_saturate
-    pool.reset_element(0)
-    assert pool.may_saturate  # sticky: recycling does not turn it off
+def test_only_edge_samples_clip_the_step(monkeypatch):
+    calls = []
+    saturate = fx.saturate_raw_array
+
+    def counting(raw):
+        calls.append(1)
+        return saturate(raw)
+
+    monkeypatch.setattr(fx, "saturate_raw_array", counting)
+    # (values, label, near the edge); each class is seeded in the window,
+    # which this gain narrows to about [-1.11, 1.11]
+    stream = [([0.3, -0.4], 0, False), ([0.5, 0.1], 1, False),
+              ([1.5, 0.2], 0, True), ([1.9, 0.1], 0, True),
+              ([0.5, -0.5], 0, False), ([2.5, -3.0], 1, True),
+              ([0.1, 0.2], 1, False), ([-0.9, 0.9], 0, False),
+              ([0.0, -1.9], 0, True), ([0.0, -1.95], 0, True),
+              ([1.0, -1.0], 0, False), ([0.25, -0.75], 1, False)]
+    pool = StatsPool(TWO_NUM, capacity=1, lam=1.0, backend="fixed")
+    oracle = OracleElement(2, 2, 8, 1.0)
+    for xs, y, edge in stream:
+        before = len(calls)
+        pool.observe(0, xs, y)
+        oracle.observe(xs, y)
+        assert len(calls) == before + edge
+        assert np.array_equal(pool.trackers[0], oracle.trackers)
+        assert pool.saturation_count == oracle.saturations
+    assert oracle.saturations == 5  # 2 on conversion, 3 in tracker steps
 
 
 def test_observe_returns_the_counts():
@@ -193,26 +209,16 @@ def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, wide, rows,
     whole.validate()
 
 
-def test_restore_recomputes_may_saturate():
-    fixed = TreeConfig(numeric_backend="fixed")
-    tree = new_tree(TWO_NUM, fixed)
-    tree.train_one(Sample([0.3, -0.4], 0))
-    assert not restore(tree.snapshot()).stats.may_saturate
-    tree.train_one(Sample([0.3, -1.9999], 1))
-    assert tree.stats.may_saturate
-    assert restore(tree.snapshot()).stats.may_saturate
-
-
-def test_restored_tracker_outside_the_window_is_clipped_as_before():
-    # a payload may hold a raw tracker outside Q2.30; the earlier step
-    # clipped it on its next step, and so must the restored pool
+def test_restored_tracker_outside_q2_30_is_rejected():
+    # observe clips no step toward an in-window sample, so a tracker
+    # outside Q2.30 would stay there
     tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
     tree.train_one(Sample([0.3, -0.4], 0))
     blob = tree.snapshot()
     seeded = b'"qraw":[[[%d,' % fx.float_to_raw(0.3)
     assert seeded in blob
-    resumed = restore(blob.replace(seeded, b'"qraw":[[[%d,' % (1 << 40)))
-    assert resumed.stats.may_saturate
-    resumed.train_one(Sample([0.3, -0.4], 0))
-    assert resumed.stats.trackers[0, 0, 0, 0] == fx.RAW_MAX
-    assert resumed.stats.saturation_count == 1
+    for raw in (fx.RAW_MAX, fx.RAW_MIN):
+        restore(blob.replace(seeded, b'"qraw":[[[%d,' % raw))
+    for raw in (1 << 40, fx.RAW_MAX + 1, fx.RAW_MIN - 1):
+        with pytest.raises(SnapshotError, match="raw tracker lies outside Q2.30"):
+            restore(blob.replace(seeded, b'"qraw":[[[%d,' % raw))

@@ -1,6 +1,7 @@
 """Tree induction: routing, pool accounting, freezing, and snapshots."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -585,6 +586,39 @@ class TestSnapshotValidation:
         trackers = self.element(doc)["qraw"]
         trackers[0][0][0] = spoil(trackers[0][0][0])
         self.rejects(doc, "qraw holds a value that is not an int")
+
+    @pytest.mark.parametrize("key", ["qvals", "g_mean", "g_vsum"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_statistic_not_finite(self, key, bad):
+        if key == "qvals":
+            doc = self.doc()
+        else:
+            tree = new_tree(TWO_NUM, TreeConfig(method="gaussian"))
+            tree.train(synth.generate("xor", 2000, seed=3))
+            doc = json.loads(tree.snapshot())
+        values = self.element(doc)[key]
+        while isinstance(values[0], list):
+            values = values[0]
+        values[0] = bad
+        self.rejects(doc, "tracker or gaussian statistics are not finite")
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 0.5), (-math.inf, 0.5), (0.2, math.inf),
+                                        (0.6, 0.5)])
+    def test_range_of_an_element_with_samples(self, lo, hi):
+        doc = self.doc()
+        el = self.element(doc)
+        assert el["n_f"] > 0
+        el["min_a"][0], el["max_a"][0] = lo, hi
+        self.rejects(doc, "finite with min_a <= max_a after it")
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, -math.inf), (math.inf, 0.5),
+                                        (math.nan, -math.inf), (math.inf, math.inf)])
+    def test_range_of_an_element_without_samples(self, lo, hi):
+        doc = json.loads(new_tree(TWO_NUM).snapshot())
+        el = doc["elements"]["0"]
+        assert el["n_f"] == 0
+        el["min_a"][0], el["max_a"][0] = lo, hi
+        self.rejects(doc, "not \\(inf, -inf\\) before its first sample")
 
     def test_count_too_large_for_int64(self):
         doc = self.doc()
