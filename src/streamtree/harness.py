@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .gaussian import normal_cdf
-from .leaf_stats import METHOD_GAUSSIAN, METHOD_QUANTILE, StatsPool
+from .leaf_stats import METHOD_GAUSSIAN, StatsPool
 from .schema import NUMERIC, DatasetSchema, Sample, open_stream
 from .tree import HoeffdingTree, TreeConfig, new_tree
 
@@ -62,14 +62,6 @@ class Metrics:
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_dict(include_timing), sort_keys=True)
-
-    def csv_row(self) -> list:
-        return [self.samples_seen, self.correct, f"{self.accuracy:.6f}",
-                self.splits_taken, self.frozen_leaves, self.leaf_count,
-                self.depth, f"{self.wall_time:.3f}"]
-
-    CSV_HEADER = ["samples", "correct", "accuracy", "splits", "frozen",
-                  "leaves", "depth", "wall_time"]
 
 
 def interleaved_test_then_train(tree: HoeffdingTree, stream: Iterable[Sample],
@@ -200,11 +192,10 @@ def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
         raise ValueError(f"attribute {attr} ({spec.name!r}) is not numeric")
     if sample_limit < 1:
         raise ValueError(f"sample limit must be >= 1, got {sample_limit}")
-    # the pool takes any count and step; reject what `eval` rejects
-    TreeConfig(quantile_count=quantile_count, lam=lam)
+    config = TreeConfig(quantile_count=quantile_count, lam=lam)
     one = DatasetSchema((spec,), 2)
-    qpool = StatsPool(one, 1, METHOD_QUANTILE, quantile_count, lam)
-    gpool = StatsPool(one, 1, METHOD_GAUSSIAN)
+    qpool = StatsPool(one, config, 1)
+    gpool = StatsPool(one, replace(config, method=METHOD_GAUSSIAN), 1)
     values = []
     for s in _open(source, schema):
         x = [float(s.values[attr])]

@@ -6,7 +6,8 @@ the tree's pool, so memory is bounded by capacity regardless of how the
 tree grows, and recycling an element is a slice reset. A leaf holds
 its element's id and nothing else: the tree reads and writes the arrays
 directly, with no per-access guard. A `generation` counter per element
-counts its recyclings; snapshots carry it.
+counts its recyclings; snapshots carry it. A pool is built from a
+validated `TreeConfig`, which alone checks the settings, and a capacity.
 
 Numeric attributes carry either a bank of quantile trackers per class or
 an incremental Gaussian per class, never both. Each tracker follows the
@@ -14,15 +15,16 @@ constant-gain frugal-streaming rule (Ma, Muthukrishnan & Sandler 2013):
 it moves up by ``lam * alpha`` when a sample lands above it and down by
 ``lam * (1 - alpha)`` otherwise, a sample equal to it included, so in
 the long run the fraction of samples below it settles at its target
-``alpha``. A bank doubles as a compact CDF estimate: the mass below a
-point is the fraction of trackers strictly below it, in 1/Q steps. The
-Gaussian is a one-pass unit-weight Welford mean and variance sum
-(Pfahringer, Holmes & Kirkby 2008). Categorical attributes
-carry value-by-class count histograms. The per-sample update path is
-vectorized across attributes (one sample touches every attribute of one
-(element, class) slice), and `observe` returns the element's updated
-sample count and the sample's class count as Python ints, so the tree
-reads neither back from the arrays.
+``alpha``; on the fixed backend both steps are Q2.30 products formed by
+the array kernels of `fixed_point`. A bank doubles as a compact CDF
+estimate: the mass below a point is the fraction of trackers strictly
+below it, in 1/Q steps. The Gaussian is a one-pass unit-weight Welford
+mean and variance sum (Pfahringer, Holmes & Kirkby 2008). Categorical
+attributes carry value-by-class count histograms. The per-sample update
+path is vectorized across attributes (one sample touches every attribute
+of one (element, class) slice), and `observe` returns the element's
+updated sample count and the sample's class count as Python ints, so the
+tree reads neither back from the arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
@@ -51,13 +53,16 @@ table.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from . import fixed_point as fx
 from .gaussian import normal_cdf
 from .schema import CATEGORICAL, NUMERIC, DatasetSchema
+
+if TYPE_CHECKING:  # tree imports this module
+    from .tree import TreeConfig
 
 METHOD_QUANTILE = "quantile"
 METHOD_GAUSSIAN = "gaussian"
@@ -93,21 +98,11 @@ class ClassDistPair(NamedTuple):
 class StatsPool:
     """Flat statistics arrays for up to `capacity` live elements."""
 
-    def __init__(self, schema: DatasetSchema, capacity: int,
-                 method: str = METHOD_QUANTILE,
-                 quantile_count: int = 8,
-                 lam: float = 0.01,
-                 backend: str = BACKEND_FLOAT):
-        if method not in (METHOD_QUANTILE, METHOD_GAUSSIAN):
-            raise ValueError(f"unknown method {method!r}")
-        if backend not in (BACKEND_FLOAT, BACKEND_FIXED):
-            raise ValueError(f"unknown backend {backend!r}")
-        if method == METHOD_GAUSSIAN and backend == BACKEND_FIXED:
-            raise ValueError("fixed backend applies to the quantile method only")
+    def __init__(self, schema: DatasetSchema, config: "TreeConfig", capacity: int):
         self.schema = schema
         self.capacity = capacity
-        self.method = method
-        self.backend = backend
+        self.method = method = config.method
+        self.backend = backend = config.numeric_backend
         C = schema.class_count
         self.class_count = C
         self.numeric_idx = tuple(
@@ -116,7 +111,6 @@ class StatsPool:
         self.cat_idx = tuple(
             i for i, a in enumerate(schema.attributes) if a.kind == CATEGORICAL
         )
-        self.num_sub = {i: k for k, i in enumerate(self.numeric_idx)}
         self.cat_sub = {i: k for k, i in enumerate(self.cat_idx)}
         A = len(self.numeric_idx)
 
@@ -139,21 +133,18 @@ class StatsPool:
         }
 
         if method == METHOD_QUANTILE:
-            self.targets = np.asarray(default_targets(quantile_count))
-            Q = len(self.targets)
-            self.quantile_count = Q
+            self.targets = np.asarray(default_targets(config.quantile_count))
+            Q = self.quantile_count = len(self.targets)
+            gains = (self.targets, 1.0 - self.targets)  # up and down, per unit lam
             if backend == BACKEND_FLOAT:
                 key, dtype = "qvals", np.float64
-                up = lam * self.targets
-                down = lam * (1.0 - self.targets)
+                self.step_up, self.step_down = (config.lam * g for g in gains)
             else:
                 key, dtype = "qraw", np.int64
-                lam_raw = fx.float_to_raw(lam)
-                up = [fx.mul_raw(lam_raw, fx.float_to_raw(a)) for a in self.targets]
-                down = [fx.mul_raw(lam_raw, fx.float_to_raw(1.0 - a)) for a in self.targets]
+                lam_raw, _ = fx.float_to_raw_array([config.lam])
+                self.step_up, self.step_down = (
+                    fx.mul_raw_array(lam_raw, fx.float_to_raw_array(g)[0]) for g in gains)
             self.trackers = np.zeros((capacity, A, C, Q), dtype=dtype)
-            self.step_up = np.asarray(up, dtype=dtype)
-            self.step_down = np.asarray(down, dtype=dtype)
             self._neg_step_down = -self.step_down
             self.element_arrays[key] = (self.trackers, 0)
             if backend == BACKEND_FIXED:

@@ -115,11 +115,20 @@ class Sample(NamedTuple):
     label: int
 
 
+def _typed(value, types: tuple, what: str):
+    """value if its JSON type is one of `types`, else SchemaError saying
+    what it must be; a bool is neither an int nor a number here."""
+    if type(value) not in types:
+        raise SchemaError(f"{what}, not {value!r}")
+    return value
+
+
 def parse_schema(text: str) -> DatasetSchema:
-    """Build a DatasetSchema from its JSON description."""
+    """Build a DatasetSchema from its JSON description. A field of the
+    wrong JSON type raises SchemaError; none is coerced."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
         raise SchemaError(f"schema is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("schema root must be an object")
@@ -135,21 +144,28 @@ def parse_schema(text: str) -> DatasetSchema:
         if not isinstance(a, dict) or "kind" not in a:
             raise SchemaError(f"attribute #{idx}: need an object with a kind")
         kind = a["kind"]
-        name = a.get("name", f"attr{idx}")
+        name = _typed(a.get("name", f"attr{idx}"), (str,),
+                      f"attribute #{idx}: name must be a string")
         if kind == NUMERIC:
             if "min" not in a or "max" not in a:
                 raise SchemaError(f"attribute {name!r}: numeric needs min and max")
-            attrs.append(AttributeSpec(name, NUMERIC,
-                                       declared_min=float(a["min"]),
-                                       declared_max=float(a["max"])))
+            lo, hi = (_typed(a[k], (int, float), f"attribute {name!r}: {k} must be a number")
+                      for k in ("min", "max"))
+            try:
+                lo, hi = float(lo), float(hi)
+            except OverflowError:  # an int beyond float64
+                raise SchemaError(f"attribute {name!r}: min and max must be finite") from None
+            attrs.append(AttributeSpec(name, NUMERIC, declared_min=lo, declared_max=hi))
         else:
-            attrs.append(AttributeSpec(name, kind,
-                                       cardinality=int(a.get("cardinality", 0))))
+            cardinality = _typed(a.get("cardinality", 0), (int,),
+                                 f"attribute {name!r}: cardinality must be an integer")
+            attrs.append(AttributeSpec(name, kind, cardinality=cardinality))
     return DatasetSchema(
         attributes=tuple(attrs),
-        class_count=int(classes),
+        class_count=_typed(classes, (int,), '"classes" must be an integer'),
         label_column=doc.get("label_column", "last"),
-        has_header=bool(doc.get("has_header", False)),
+        has_header=_typed(doc.get("has_header", False), (bool,),
+                          '"has_header" must be true or false'),
     )
 
 

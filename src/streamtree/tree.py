@@ -10,7 +10,9 @@ never re-enters split trials, so the tree degrades gracefully rather than
 failing.
 
 A leaf holds its element's id, which indexes the pool's arrays directly.
-`HoeffdingTree.validate` checks the tree's invariants; `restore` runs it.
+Every node links to its parent (None at the root), so a split replaces
+its leaf in O(1). `HoeffdingTree.validate` checks the tree's invariants,
+the parent links included; `restore` runs it.
 
 Training is strictly stream-ordered and deterministic: the same samples in
 the same order with the same config produce the identical tree, split log,
@@ -91,9 +93,10 @@ class TreeConfig:
 
 
 class LeafNode:
-    __slots__ = ("eid", "cached_majority", "majority_count", "depth", "frozen_counts")
+    __slots__ = ("eid", "cached_majority", "majority_count", "depth", "frozen_counts", "parent")
 
     def __init__(self, eid: Optional[int], depth: int, cached_majority: int = 0):
+        self.parent: Optional[InternalNode] = None
         self.eid = eid  # None once frozen
         self.depth = depth
         self.cached_majority = cached_majority
@@ -106,15 +109,17 @@ class LeafNode:
 
 
 class InternalNode:
-    __slots__ = ("attribute", "threshold", "is_categorical", "left", "right")
+    __slots__ = ("attribute", "threshold", "is_categorical", "left", "right", "parent")
 
     def __init__(self, attribute: int, threshold, is_categorical: bool,
                  left: "Node", right: "Node"):
+        self.parent: Optional[InternalNode] = None
         self.attribute = attribute
         self.threshold = threshold
         self.is_categorical = is_categorical
         self.left = left
         self.right = right
+        left.parent = right.parent = self
 
 
 Node = Union[LeafNode, InternalNode]
@@ -161,14 +166,7 @@ class HoeffdingTree:
     def __init__(self, schema: DatasetSchema, config: TreeConfig = TreeConfig()):
         self.schema = schema
         self.config = config
-        self.stats = StatsPool(
-            schema,
-            capacity=config.max_leaves,
-            method=config.method,
-            quantile_count=config.quantile_count,
-            lam=config.lam,
-            backend=config.numeric_backend,
-        )
+        self.stats = StatsPool(schema, config, config.max_leaves)
         self.pool = ElementPool(self.stats)
         self.root: Node = LeafNode(self.pool.alloc(), depth=0)
         self.leaf_count = 1
@@ -184,8 +182,12 @@ class HoeffdingTree:
     # ------------------------------------------------------------- routing
 
     def sort_to_leaf(self, s: Sample) -> LeafNode:
-        node = self.root
+        """The leaf s routes to; raises ValueError for a NaN or infinite
+        numeric value, so `step`, `train_one` and `predict` all do."""
         values = s.values
+        if not math.isfinite(sum(values)):
+            self._reject_non_finite(s)
+        node = self.root
         while not isinstance(node, LeafNode):
             v = values[node.attribute]
             if node.is_categorical:
@@ -199,16 +201,12 @@ class HoeffdingTree:
     def step(self, s: Sample) -> int:
         """Predict s, then train on it: `predict(s)` followed by
         `train_one(s)`, routing s once. Returns the prediction."""
-        if not math.isfinite(sum(s.values)):
-            self._reject_non_finite(s)
         leaf = self.sort_to_leaf(s)
         prediction = leaf.cached_majority
         self._train_leaf(leaf, s)
         return prediction
 
     def train_one(self, s: Sample) -> Optional[SplitEvent]:
-        if not math.isfinite(sum(s.values)):
-            self._reject_non_finite(s)
         return self._train_leaf(self.sort_to_leaf(s), s)
 
     def _train_leaf(self, leaf: LeafNode, s: Sample) -> Optional[SplitEvent]:
@@ -256,7 +254,13 @@ class HoeffdingTree:
         self.pool.release(e)
         is_cat = self.schema.attributes[best.attribute].kind == CATEGORICAL
         internal = InternalNode(best.attribute, best.split_point, is_cat, left, right)
-        self._replace_node(leaf, internal)
+        parent = internal.parent = leaf.parent
+        if parent is None:
+            self.root = internal
+        elif parent.left is leaf:
+            parent.left = internal
+        else:
+            parent.right = internal
         self.leaf_count += 1
         self.split_count += 1
         self.depth = max(self.depth, leaf.depth + 1)
@@ -279,24 +283,6 @@ class HoeffdingTree:
         self.split_log.append(event)
         return event
 
-    def _replace_node(self, old: Node, new: Node) -> None:
-        if self.root is old:
-            self.root = new
-            return
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, InternalNode):
-                if node.left is old:
-                    node.left = new
-                    return
-                if node.right is old:
-                    node.right = new
-                    return
-                stack.append(node.left)
-                stack.append(node.right)
-        raise RuntimeError("node to replace not found")
-
     def train(self, stream: Iterable[Sample]) -> int:
         count = 0
         for s in stream:
@@ -307,10 +293,7 @@ class HoeffdingTree:
     # ----------------------------------------------------------- inference
 
     def predict(self, s: Sample) -> int:
-        """The majority class of the leaf s routes to; raises ValueError
-        for a NaN or infinite numeric value, as `train_one` does."""
-        if not math.isfinite(sum(s.values)):
-            self._reject_non_finite(s)
+        """The majority class of the leaf s routes to."""
         return self.sort_to_leaf(s).cached_majority
 
     # ------------------------------------------------------------- metrics
@@ -340,6 +323,8 @@ class HoeffdingTree:
         live: list[LeafNode] = []
         frozen: list[LeafNode] = []
         deepest = 0
+        if self.root.parent is not None:
+            raise ValueError("the root has a parent")
         stack = [(self.root, 0)]
         while stack:
             node, depth = stack.pop()
@@ -348,6 +333,8 @@ class HoeffdingTree:
                 if depth >= cfg.max_depth:
                     raise ValueError(
                         f"internal node at depth {depth}, max_depth is {cfg.max_depth}")
+                if node.left.parent is not node or node.right.parent is not node:
+                    raise ValueError(f"a child of the node at depth {depth} has another parent")
                 stack += [(node.right, depth + 1), (node.left, depth + 1)]
             elif node.depth != depth:
                 raise ValueError(f"leaf at depth {depth} says depth {node.depth!r}")

@@ -115,7 +115,7 @@ def test_c04_tracker_convergence():
     # two attributes must end on the reference's bits.
     schema = DatasetSchema((AttributeSpec("u", "numeric", 0.0, 1.0),
                             AttributeSpec("n", "numeric", -1.0, 1.0)), 2)
-    pool = StatsPool(schema, 1)
+    pool = StatsPool(schema, TreeConfig(), 1)
     for row in np.column_stack([xs, ys]).tolist():
         pool.observe(0, row, 0)
     assert pool.trackers[0, 0, 0].tolist() == qx
@@ -145,7 +145,7 @@ def test_c05_incremental_gaussian_oracle():
 
     schema = DatasetSchema(tuple(AttributeSpec(f"x{k}", "numeric", -1.0, 1.0)
                                  for k in range(len(streams))), 2)
-    pool = StatsPool(schema, 1, method="gaussian")
+    pool = StatsPool(schema, TreeConfig(method="gaussian"), 1)
     means = np.empty(len(streams))
     vsums = np.empty(len(streams))
     chunk = 500
@@ -273,8 +273,7 @@ def test_c08_partition_oracle_small_streams(seed, shape):
     the bulk of the error distribution, not its favorable tail).
     """
     rng = np.random.default_rng(seed)
-    pool = StatsPool(PARTITION_SCHEMA, capacity=4, method="quantile",
-                     quantile_count=8, lam=0.03)
+    pool = StatsPool(PARTITION_SCHEMA, TreeConfig(quantile_count=8, lam=0.03), 4)
     e = 0
     xs = {0: [], 1: []}
     for _ in range(500):
@@ -351,7 +350,7 @@ def test_c10_fixed_round_trip():
     xs = rng.uniform(-2.0, 2.0 - 2.0 ** -30, 1_000_000)
     raw, saturated = fx.float_to_raw_array(xs)
     assert saturated == 0
-    back = fx.raw_to_float_array(raw)
+    back = raw / fx.SCALE
     assert float(np.max(np.abs(back - xs))) <= 2.0 ** -31
 
 

@@ -108,8 +108,24 @@ def test_missing_schema_is_status_3(stream, tmp_path, capsys):
     lambda doc: {**doc, "label_column": 1.5},
     lambda doc: {**doc, "attributes": [{**doc["attributes"][0], "min": float("-inf")},
                                        *doc["attributes"][1:]]},
+    lambda doc: {**doc, "attributes": [{**doc["attributes"][0], "min": None},
+                                       *doc["attributes"][1:]]},
+    lambda doc: {**doc, "attributes": [{**doc["attributes"][0], "min": "abc"},
+                                       *doc["attributes"][1:]]},
+    lambda doc: {**doc, "attributes": [{**doc["attributes"][0], "max": True},
+                                       *doc["attributes"][1:]]},
+    lambda doc: {**doc, "attributes": [*doc["attributes"],
+                                       {"kind": "categorical", "cardinality": [2]}]},
+    lambda doc: {**doc, "attributes": [{**doc["attributes"][0], "name": 5},
+                                       *doc["attributes"][1:]]},
+    lambda doc: {**doc, "classes": "x"},
+    lambda doc: {**doc, "classes": 2.7},
+    lambda doc: {**doc, "classes": 2.0},
+    lambda doc: {**doc, "has_header": "false"},
 ], ids=["no-attributes", "label-past-row", "label-minus-2", "label-bool", "label-float",
-        "infinite-min"])
+        "infinite-min", "null-min", "string-min", "bool-max", "list-cardinality",
+        "int-name", "string-classes", "float-classes", "integral-float-classes",
+        "string-has-header"])
 def test_bad_schema_is_status_4(stream, tmp_path, capsys, edit):
     data, schema = stream
     with open(schema) as fh:

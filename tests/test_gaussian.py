@@ -11,13 +11,14 @@ from reference_kernels import welford
 from streamtree.gaussian import normal_cdf
 from streamtree.leaf_stats import StatsPool
 from streamtree.schema import AttributeSpec, DatasetSchema
+from streamtree.tree import TreeConfig
 
 ONE = DatasetSchema((AttributeSpec("x", "numeric", declared_min=-1.0, declared_max=1.0),), 2)
 
 
 def fit(xs):
     """A one-element gaussian pool fed xs in order under class 0."""
-    pool = StatsPool(ONE, 1, method="gaussian")
+    pool = StatsPool(ONE, TreeConfig(method="gaussian"), 1)
     for x in xs:
         pool.observe(0, [float(x)], 0)
     return pool

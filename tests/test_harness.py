@@ -219,7 +219,3 @@ class TestMetricsSerialization:
         assert doc["accuracy"] == 0.7
         assert doc["wall_time"] == 1.5
         assert "wall_time" not in json.loads(m.to_json(include_timing=False))
-
-    def test_csv_row_aligns_with_header(self):
-        m = Metrics(samples_seen=10, correct=7)
-        assert len(m.csv_row()) == len(Metrics.CSV_HEADER)

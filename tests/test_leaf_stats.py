@@ -6,6 +6,7 @@ import pytest
 from reference_kernels import track_quantiles, welford
 from streamtree.leaf_stats import StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
+from streamtree.tree import TreeConfig
 
 TWO_NUM = DatasetSchema(
     (
@@ -24,9 +25,8 @@ MIXED = DatasetSchema(
 )
 
 
-def make_pool(schema=TWO_NUM, **kw):
-    kw.setdefault("capacity", 4)
-    return StatsPool(schema, **kw)
+def make_pool(schema=TWO_NUM, capacity=4, backend="float", **kw):
+    return StatsPool(schema, TreeConfig(numeric_backend=backend, **kw), capacity)
 
 
 def observe(pool, e, s):
@@ -152,7 +152,7 @@ def split_at(pool, e, attr, pt):
     """(left, right) class counts of element e's numeric split at pt, from
     a one-point table."""
     valid = np.zeros(len(pool.numeric_idx), dtype=bool)
-    valid[pool.num_sub[attr]] = True
+    valid[pool.numeric_idx.index(attr)] = True
     left = pool.numeric_partition_table(e, valid, np.array([[pt]]))[0, 0]
     return left, pool.n_fj[e] - left
 
@@ -323,7 +323,7 @@ class TestFixedBackend:
             observe(fl, 0, s)
             observe(fi, 0, s)
         import streamtree.fixed_point as fx
-        back = fx.raw_to_float_array(fi.trackers[0])
+        back = fi.trackers[0] / fx.SCALE
         # quantization drift bounded by 10 ulp-equivalents per step
         assert np.max(np.abs(back - fl.trackers[0])) <= 10 * 2.0 ** -30 * n
 

@@ -17,7 +17,7 @@ ONE = DatasetSchema((AttributeSpec("x", "numeric", declared_min=-1.0, declared_m
 def bank_pool(count=8, lam=0.01, attrs=1):
     """A one-element quantile pool over `attrs` numeric attributes."""
     schema = DatasetSchema(ONE.attributes * attrs, 2)
-    return StatsPool(schema, 1, quantile_count=count, lam=lam)
+    return StatsPool(schema, TreeConfig(quantile_count=count, lam=lam), 1)
 
 
 def pool_at(values, lam=0.01):
@@ -105,14 +105,8 @@ class TestUpdate:
         # Q >= x: Q' = Q - lam*(1-alpha)
         assert bank(pool)[0] == pytest.approx(0.4925, abs=1e-12)
 
-    def test_zero_lam_is_noop(self):
-        pool = pool_at([0.4, 0.6], lam=0.0)
-        pool.observe(0, [0.9], 0)
-        pool.observe(0, [0.1], 0)
-        assert bank(pool) == [0.4, 0.6]
-
     def test_negative_lam_rejected(self):
-        # the pool takes any step; the configuration rejects lam <= 0
+        # a pool takes its gain from a TreeConfig, which rejects lam <= 0
         for lam in (-0.01, 0.0):
             with pytest.raises(ValueError, match="lam"):
                 TreeConfig(lam=lam)

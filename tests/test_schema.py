@@ -69,11 +69,19 @@ class TestParseSchema:
         ("label_column", 1.0), ("label_column", "first"), ("label_column", None),
         ("min", float("-inf")), ("max", float("inf")), ("min", float("nan")),
         ("min", -1e308),
+        # fields of the wrong JSON type are rejected, not coerced
+        ("min", None), ("min", "abc"), ("min", True), ("max", [1]),
+        ("cardinality", [2]), ("cardinality", 2.9), ("cardinality", True),
+        ("cardinality", "3"), ("classes", "x"), ("classes", 2.7), ("classes", 2.0),
+        ("classes", True), ("has_header", "false"), ("has_header", 0),
+        ("name", 5), ("name", None),
     ])
     def test_bad_label_column_or_bound_rejected(self, field, bad):
         doc = json.loads(TWO_NUM_ONE_CAT)
-        if field == "label_column":
+        if field in ("label_column", "classes", "has_header"):
             doc[field] = bad
+        elif field == "cardinality":
+            doc["attributes"][2][field] = bad
         else:
             doc["attributes"][0].update({"min": 0, "max": 1e308, field: bad})
         with pytest.raises(SchemaError):
@@ -86,6 +94,20 @@ class TestParseSchema:
         schema = parse_schema(json.dumps(doc))
         assert schema.label_index() == index
         assert schema.label_column == label_column
+        assert parse_schema(schema_to_json(schema)) == schema
+
+    def test_bound_past_float_range_rejected(self):
+        doc = json.loads(TWO_NUM_ONE_CAT)
+        doc["attributes"][0]["max"] = 10 ** 400
+        with pytest.raises(SchemaError, match="must be finite"):
+            parse_schema(json.dumps(doc))
+
+    def test_json_types_are_kept(self):
+        doc = json.loads(TWO_NUM_ONE_CAT)
+        doc["has_header"] = True
+        schema = parse_schema(json.dumps(doc))
+        assert schema.has_header is True and type(schema.class_count) is int
+        assert [type(a.declared_min) for a in schema.attributes[:2]] == [float, float]
         assert parse_schema(schema_to_json(schema)) == schema
 
     def test_not_json(self):

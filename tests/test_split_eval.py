@@ -157,10 +157,9 @@ TWO_NUM = DatasetSchema(
 )
 
 
-def fill_element(schema, samples, **pool_kw):
+def fill_element(schema, samples):
     """A pool whose element 0 has observed samples."""
-    pool_kw.setdefault("capacity", 2)
-    pool = StatsPool(schema, **pool_kw)
+    pool = StatsPool(schema, TreeConfig(), 2)
     for s in samples:
         pool.observe(0, s.values, s.label)
     return pool

@@ -37,7 +37,7 @@ def oracle_normal_cdf(pt, mean, variance):
 
 
 def oracle_split_points(pool, e, attr, count):
-    k = pool.num_sub[attr]
+    k = pool.numeric_idx.index(attr)
     lo = float(pool.min_a[e, k])
     hi = float(pool.max_a[e, k])
     if not lo < hi:
@@ -47,7 +47,7 @@ def oracle_split_points(pool, e, attr, count):
 
 
 def oracle_partition_table(pool, e, attr, pts):
-    k = pool.num_sub[attr]
+    k = pool.numeric_idx.index(attr)
     counts = pool.n_fj[e].astype(np.float64)
     pts_arr = np.asarray(pts, dtype=np.float64)
     if pool.method == "quantile":
@@ -209,9 +209,7 @@ def leaves(draw, method):
         tau=draw(st.sampled_from([0.05, 0.3, 1.0])),
         r_range=draw(st.sampled_from([0.05, 1.0])),
     )
-    pool = StatsPool(schema, capacity=1, method=config.method,
-                     quantile_count=config.quantile_count, lam=config.lam,
-                     backend=config.numeric_backend)
+    pool = StatsPool(schema, config, 1)
     for s in samples:
         pool.observe(0, s.values, s.label)
     return pool, config
@@ -250,13 +248,12 @@ def test_duplicated_columns_tie_like_the_oracle():
         schema = DatasetSchema(tuple(
             AttributeSpec(f"a{i}", "numeric", declared_min=-1.0, declared_max=1.0)
             for i in range(3)), 3)
-        pool = StatsPool(schema, capacity=1, method=method["method"],
-                         backend=method["backend"])
+        config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
+        pool = StatsPool(schema, config, 1)
         for _ in range(300):
             y = int(rng.integers(0, 3))
             x = float(rng.normal(0.6 * y - 0.6, 0.1))
             pool.observe(0, [float(rng.uniform(-1, 1)), x, x], y)
-        config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
         new = evaluate_split_trial(pool, 0, config)
         assert_same_decision(new, oracle_trial(pool, 0, config))
         assert (new.best.attribute, new.second_best.attribute) == (1, 2), name
@@ -271,12 +268,11 @@ def test_many_attributes_and_classes_match_oracle():
         AttributeSpec(f"a{i}", "numeric", declared_min=-1.0, declared_max=1.0)
         for i in range(54)), 9)
     for method in METHODS.values():
-        pool = StatsPool(schema, capacity=2, method=method["method"],
-                         backend=method["backend"])
+        config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
+        pool = StatsPool(schema, config, 2)
         for _ in range(2000):
             y = int(rng.integers(0, 9))
             row = rng.normal(0.05 * y, 0.3, 54)
             row[10:] = rng.random(44) < 0.05 * (y + 1)  # one-hot-like columns
             pool.observe(1, np.clip(row, -1, 1).tolist(), y)
-        config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
         assert_same_decision(evaluate_split_trial(pool, 1, config), oracle_trial(pool, 1, config))

@@ -10,6 +10,8 @@ snapshot taken mid-stream and restored must finish the stream exactly as
 the uninterrupted tree. Every comparison is `==`.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -73,15 +75,22 @@ def oracle_saturate(raw):
     return saturated
 
 
+def oracle_raw(fr):
+    """The Q2.30 word of the rational fr: round half to even, saturate."""
+    return max(fx.RAW_MIN, min(fx.RAW_MAX, round(fr * fx.SCALE)))
+
+
 class OracleElement:
-    """One element's fixed trackers, stepped the earlier way."""
+    """One element's fixed trackers, stepped the earlier way; the steps are
+    lam * alpha and lam * (1 - alpha) in Q2.30, computed exactly."""
 
     def __init__(self, attrs, classes, quantile_count, lam):
         targets = default_targets(quantile_count)
-        lam_raw = fx.float_to_raw(lam)
-        self.up = np.array([fx.mul_raw(lam_raw, fx.float_to_raw(a)) for a in targets])
-        self.down = np.array([fx.mul_raw(lam_raw, fx.float_to_raw(1.0 - a))
-                              for a in targets])
+        lam_raw = oracle_raw(Fraction(lam))
+        self.up, self.down = (
+            np.array([oracle_raw(Fraction(lam_raw * oracle_raw(Fraction(g)), fx.SCALE ** 2))
+                      for g in gains])
+            for gains in (targets, [1.0 - a for a in targets]))
         self.trackers = np.zeros((attrs, classes, len(targets)), dtype=np.int64)
         self.counts = [0] * classes
         self.saturations = 0
@@ -115,8 +124,8 @@ samples = st.lists(st.tuples(values, values, st.integers(0, 2)), min_size=1, max
 @example(stream=[(0.5, -0.5, 1), (0.6, 0.2, 1), (0.1, -0.9, 1)], lam=2.0, quantile_count=8)
 def test_fixed_observe_matches_always_saturating_oracle(stream, lam, quantile_count):
     schema = DatasetSchema(TWO_NUM.attributes, 3)
-    pool = StatsPool(schema, capacity=1, quantile_count=quantile_count, lam=lam,
-                     backend="fixed")
+    pool = StatsPool(schema, TreeConfig(quantile_count=quantile_count, lam=lam,
+                                        numeric_backend="fixed"), 1)
     oracle = OracleElement(2, 3, quantile_count, lam)
     for x0, x1, y in stream:
         pool.observe(0, [x0, x1], y)
@@ -152,7 +161,7 @@ def test_only_edge_samples_clip_the_step(monkeypatch):
               ([0.1, 0.2], 1, False), ([-0.9, 0.9], 0, False),
               ([0.0, -1.9], 0, True), ([0.0, -1.95], 0, True),
               ([1.0, -1.0], 0, False), ([0.25, -0.75], 1, False)]
-    pool = StatsPool(TWO_NUM, capacity=1, lam=1.0, backend="fixed")
+    pool = StatsPool(TWO_NUM, TreeConfig(lam=1.0, numeric_backend="fixed"), 1)
     oracle = OracleElement(2, 2, 8, 1.0)
     for xs, y, edge in stream:
         before = len(calls)
@@ -165,7 +174,7 @@ def test_only_edge_samples_clip_the_step(monkeypatch):
 
 
 def test_observe_returns_the_counts():
-    pool = StatsPool(TWO_NUM, capacity=2)
+    pool = StatsPool(TWO_NUM, TreeConfig(), 2)
     assert pool.observe(1, [0.1, 0.2], 1) == (1, 1)
     assert pool.observe(1, [0.1, 0.2], 0) == (2, 1)
     n, c = pool.observe(1, [0.1, 0.2], 1)
@@ -215,7 +224,7 @@ def test_restored_tracker_outside_q2_30_is_rejected():
     tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
     tree.train_one(Sample([0.3, -0.4], 0))
     blob = tree.snapshot()
-    seeded = b'"qraw":[[[%d,' % fx.float_to_raw(0.3)
+    seeded = b'"qraw":[[[%d,' % oracle_raw(Fraction(0.3))
     assert seeded in blob
     for raw in (fx.RAW_MAX, fx.RAW_MIN):
         restore(blob.replace(seeded, b'"qraw":[[[%d,' % raw))

@@ -80,6 +80,39 @@ class TestValidate:
         with pytest.raises(ValueError, match=match):
             tree.validate()
 
+    def test_broken_parent_link_raises(self):
+        tree = new_tree(synth.preset_schema("bimodal"), TreeConfig(n_min=50, tau=0.5))
+        tree.train(synth.generate("bimodal", 3000, seed=3))
+        inner = next(c for c in (tree.root.left, tree.root.right)
+                     if isinstance(c, InternalNode))
+        for node, wrong, match in ((inner.right, tree.root, "has another parent"),
+                                   (inner, None, "has another parent"),
+                                   (tree.root, inner, "the root has a parent")):
+            right = node.parent
+            node.parent = wrong
+            with pytest.raises(ValueError, match=match):
+                tree.validate()
+            node.parent = right
+            tree.validate()
+
+    def test_deep_splits_keep_the_tree_valid(self):
+        # a split puts its internal node in the leaf's slot of the leaf's parent
+        tree = new_tree(synth.preset_schema("bimodal"), TreeConfig(n_min=50, tau=0.5))
+        deep = 0
+        for s in synth.generate("bimodal", 20000, seed=3):
+            leaf = tree.sort_to_leaf(s)
+            parent = leaf.parent
+            side = "left" if parent is not None and parent.left is leaf else "right"
+            event = tree.train_one(s)
+            if event is None or event.kind != "split" or event.depth < 8:
+                continue
+            deep += 1
+            internal = getattr(parent, side)
+            assert isinstance(internal, InternalNode) and internal.parent is parent
+            tree.validate()
+        assert deep >= 10 and tree.leaf_count > 200
+        check_tree(tree)
+
 
 class TestSortToLeaf:
     def test_single_leaf(self):

@@ -7,17 +7,20 @@ from streamtree.tree import HoeffdingTree, LeafNode
 
 
 def check_tree(tree: HoeffdingTree) -> None:
-    """Assert the leaf and depth caps, the counters, pool conservation,
-    per-class count totals and every leaf's majority, then validate."""
+    """Assert the parent links, the leaf and depth caps, the counters, pool
+    conservation, per-class count totals and every leaf's majority, then
+    validate."""
     config = tree.config
     pool = tree.pool
     stats = tree.stats
     leaves = frozen = deepest = 0
     seen = set()
+    assert tree.root.parent is None
     stack = [(tree.root, 0)]
     while stack:
         node, depth = stack.pop()
         if not isinstance(node, LeafNode):
+            assert node.left.parent is node and node.right.parent is node
             stack.append((node.left, depth + 1))
             stack.append((node.right, depth + 1))
             continue
