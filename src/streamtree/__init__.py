@@ -17,7 +17,7 @@ from .schema import (
     open_stream,
     parse_schema,
 )
-from .split_eval import gini, gini_reduction, hoeffding_bound, split_quality
+from .split_eval import gini, hoeffding_bound
 from .tree import HoeffdingTree, SnapshotError, TreeConfig, new_tree, restore
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "default_targets",
     "export_cdf_comparison",
     "gini",
-    "gini_reduction",
     "hoeffding_bound",
     "interleaved_test_then_train",
     "load_schema",
@@ -43,6 +42,5 @@ __all__ = [
     "open_stream",
     "parse_schema",
     "restore",
-    "split_quality",
     "sweep_quantiles",
 ]

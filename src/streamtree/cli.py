@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import synth
 from .harness import (
@@ -49,36 +49,30 @@ class CommandError(Exception):
         self.status = status
 
 
-def add_config_flags(p: argparse.ArgumentParser, quantile_list: bool = False) -> None:
-    p.add_argument("--method", choices=["quantile", "gaussian"], default="quantile")
-    if quantile_list:
-        p.add_argument("--quantiles", type=str, default="8", metavar="Q,Q,...",
-                       help="comma-separated quantile counts, e.g. 2,8,512")
-    else:
-        p.add_argument("--quantiles", type=int, default=8, metavar="Q")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01, metavar="L")
-    p.add_argument("--nmin", type=int, default=200)
-    p.add_argument("--split-points", type=int, default=10)
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--max-leaves", type=int, default=1024)
-    p.add_argument("--max-depth", type=int, default=15)
-    p.add_argument("--numeric-backend", choices=["float", "fixed"], default="float")
+# TreeConfig field -> the flag that sets it; each flag defaults to the field's default
+CONFIG_FLAGS = {
+    "method": ("--method", dict(choices=["quantile", "gaussian"])),
+    "quantile_count": ("--quantiles", dict(type=int, metavar="Q")),
+    "lam": ("--lambda", dict(type=float, metavar="L")),
+    "n_min": ("--nmin", dict(type=int)),
+    "split_points": ("--split-points", dict(type=int)),
+    "tau": ("--tau", dict(type=float)),
+    "delta": ("--delta", dict(type=float)),
+    "max_leaves": ("--max-leaves", dict(type=int)),
+    "max_depth": ("--max-depth", dict(type=int)),
+    "numeric_backend": ("--numeric-backend", dict(choices=["float", "fixed"])),
+}
+
+
+def add_config_flags(p: argparse.ArgumentParser, fields: Iterable[str]) -> None:
+    """Give p the flags of the TreeConfig fields its command reads, and no others."""
+    for field in fields:
+        flag, kwargs = CONFIG_FLAGS[field]
+        p.add_argument(flag, dest=field, default=getattr(TreeConfig, field), **kwargs)
 
 
 def config_from_args(args: argparse.Namespace, **overrides) -> TreeConfig:
-    fields = dict(
-        delta=args.delta,
-        tau=args.tau,
-        n_min=args.nmin,
-        split_points=args.split_points,
-        quantile_count=args.quantiles,
-        lam=args.lam,
-        max_leaves=args.max_leaves,
-        max_depth=args.max_depth,
-        method=args.method,
-        numeric_backend=args.numeric_backend,
-    )
+    fields = {f: getattr(args, f) for f in CONFIG_FLAGS if hasattr(args, f)}
     fields.update(overrides)
     try:
         return TreeConfig(**fields)
@@ -401,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="interleaved test-then-train run")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
-    add_config_flags(p)
+    add_config_flags(p, CONFIG_FLAGS)
     p.add_argument("--out", help="write JSON metrics to this path")
     p.add_argument("--json", action="store_true", help="JSON to stdout")
     p.add_argument("--snapshot", help="write the trained tree to this path")
@@ -410,7 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="one run per quantile count")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
-    add_config_flags(p, quantile_list=True)
+    p.add_argument("--quantiles", default="8", metavar="Q,Q,...",
+                   help="comma-separated quantile counts, e.g. 2,8,512")
+    # every run uses the quantile method
+    add_config_flags(p, [f for f in CONFIG_FLAGS if f not in ("method", "quantile_count")])
     p.add_argument("--out", help="write JSON table to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_sweep)
@@ -418,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="quantile vs gaussian on one stream")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
-    add_config_flags(p)
+    # both methods run, on the float backend
+    add_config_flags(p, [f for f in CONFIG_FLAGS if f not in ("method", "numeric_backend")])
     p.add_argument("--out", help="write JSON report to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_compare)
@@ -428,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--attr", type=int, required=True)
     p.add_argument("--limit", type=int, default=20_000)
-    add_config_flags(p)
+    # the estimators are single trackers; no tree is grown
+    add_config_flags(p, ["quantile_count", "lam"])
     p.add_argument("--out", help="write the series CSV to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_cdf_export)

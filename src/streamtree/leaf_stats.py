@@ -20,7 +20,7 @@ the array kernels of `fixed_point`. A bank doubles as a compact CDF
 estimate: the mass below a point is the fraction of trackers strictly
 below it, in 1/Q steps. The Gaussian is a one-pass unit-weight Welford
 mean and variance sum (Pfahringer, Holmes & Kirkby 2008). Categorical
-attributes carry value-by-class count histograms. The per-sample update
+attributes carry code-by-class count histograms. The per-sample update
 path is vectorized across attributes (one sample touches every attribute
 of one (element, class) slice), and `observe` returns the element's
 updated sample count and the sample's class count as Python ints, so the
@@ -39,7 +39,13 @@ trackers start inside Q2.30 (they are seeded at converted samples, and
 tracker up only while it is below the sample and down only while it is
 not, by at most one step, so a step toward a sample in the window stays
 inside Q2.30. Only `StatsPool` knows which arrays an element owns:
-recycling and snapshots walk `element_arrays` and `hists`.
+recycling and snapshots walk `element_arrays`.
+
+Categorical counts live in one array, `hist`, of shape (capacity, sum of
+cardinalities, |C|): attribute `cat_idx[k]` owns one row per code from
+row `cat_start[k]` on. A sample bumps one scalar index per categorical
+attribute, a split trial scores `hist[e]` whole, and a snapshot holds
+one (cardinality, |C|) list per attribute under the key "hists".
 
 A split trial reads one element as whole-leaf tables over the A numeric
 attributes that can split (min < max), P split points per attribute, |C|
@@ -47,13 +53,12 @@ classes and Q quantiles: `split_points` gives the mask of those
 attributes and their points as one (A, P) array, and
 `numeric_partition_table` gives dist_L as one (A, P, |C|) array, from one
 (A, P, |C|, Q) tracker comparison or one array call to `normal_cdf`.
-`categorical_partition_table` gives one attribute's (cardinality, |C|)
-table.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -89,12 +94,6 @@ def int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-class ClassDistPair(NamedTuple):
-    left: np.ndarray   # |C| reals
-    right: np.ndarray  # |C| reals
-    split_point: object
-
-
 class StatsPool:
     """Flat statistics arrays for up to `capacity` live elements."""
 
@@ -111,7 +110,10 @@ class StatsPool:
         self.cat_idx = tuple(
             i for i, a in enumerate(schema.attributes) if a.kind == CATEGORICAL
         )
-        self.cat_sub = {i: k for k, i in enumerate(self.cat_idx)}
+        cards = [schema.attributes[i].cardinality for i in self.cat_idx]
+        bounds = tuple(accumulate(cards, initial=0))
+        self.cat_start = bounds[:-1]
+        self._cat_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         A = len(self.numeric_idx)
 
         self.generation = np.zeros(capacity, dtype=np.int64)
@@ -119,17 +121,15 @@ class StatsPool:
         self.n_fj = np.zeros((capacity, C), dtype=np.int64)
         self.min_a = np.full((capacity, A), np.inf)
         self.max_a = np.full((capacity, A), -np.inf)
-        self.hists = [
-            np.zeros((capacity, schema.attributes[i].cardinality, C), dtype=np.int64)
-            for i in self.cat_idx
-        ]
-        # Every per-element statistic but `hists`, by snapshot key, with
-        # the value a recycled element holds.
+        self.hist = np.zeros((capacity, sum(cards), C), dtype=np.int64)
+        # Every per-element statistic, by snapshot key, with the value a
+        # recycled element holds.
         self.element_arrays = {
             "n_f": (self.n_f, 0),
             "n_fj": (self.n_fj, 0),
             "min_a": (self.min_a, np.inf),
             "max_a": (self.max_a, -np.inf),
+            "hists": (self.hist, 0),
         }
 
         if method == METHOD_QUANTILE:
@@ -165,21 +165,29 @@ class StatsPool:
         self.generation[e] += 1
         for arr, empty in self.element_arrays.values():
             arr[e] = empty
-        for h in self.hists:
-            h[e] = 0
 
     def element_doc(self, e: int) -> dict:
-        """Element e's statistics as JSON-ready lists, by snapshot key."""
+        """Element e's statistics as JSON-ready lists, by snapshot key;
+        "hists" holds one (cardinality, |C|) list per attribute."""
         doc = {key: arr[e].tolist() for key, (arr, _) in self.element_arrays.items()}
-        doc["hists"] = [h[e].tolist() for h in self.hists]
+        doc["hists"] = [doc["hists"][rows] for rows in self._cat_rows]
         return doc
 
     def load_element(self, e: int, doc: dict) -> None:
-        """Overwrite element e's statistics from an `element_doc` dict."""
+        """Overwrite element e's statistics from an `element_doc` dict; raises
+        ValueError for a value whose type or shape does not fit its slot."""
         for key, (arr, _) in self.element_arrays.items():
-            arr[e] = int_array(doc[key], key) if arr.dtype.kind == "i" else doc[key]
-        for h, vals in zip(self.hists, doc["hists"], strict=True):
-            h[e] = int_array(vals, "hists")
+            if key == "hists":
+                slots = zip([arr[e, rows] for rows in self._cat_rows], doc[key], strict=True)
+            else:
+                slots = [(arr[e, ...], doc[key])]  # a view, 0-d for n_f
+            for slot, vals in slots:
+                v = (int_array(vals, key) if arr.dtype.kind == "i"
+                     else np.asarray(vals, dtype=np.float64))
+                if v.shape == slot.shape:
+                    slot[...] = v
+                elif slot.size or v.shape != (0,):  # tolist() writes an empty slot as []
+                    raise ValueError(f"{key} has shape {v.shape}, expected {slot.shape}")
 
     def _to_tracker_units(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Reals in tracker units, with how many saturated on the way."""
@@ -231,8 +239,8 @@ class StatsPool:
                     self.g_vsum[e, :, label] += d * (xv - m2)
                     self.g_mean[e, :, label] = m2
 
-        for i, h in zip(self.cat_idx, self.hists):
-            h[e, values[i], label] += 1
+        for i, start in zip(self.cat_idx, self.cat_start):
+            self.hist[e, start + values[i], label] += 1
         return n, cj
 
     def split_points(self, e: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +276,3 @@ class StatsPool:
         # zero-count classes contribute nothing regardless of method
         dist_l[..., counts == 0] = 0.0
         return dist_l
-
-    def categorical_partition_table(self, e: int, attr: int) -> np.ndarray:
-        """dist_L for every (code, class), shape (cardinality, |C|); the
-        left branch of a categorical split holds the one code."""
-        return self.hists[self.cat_sub[attr]][e].astype(np.float64)

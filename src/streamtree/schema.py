@@ -392,11 +392,13 @@ class _Block:
         try:
             with warnings.catch_warnings():
                 # older numpy (1.23 among them) parses 1.0 into an int64
-                # field with only a DeprecationWarning
+                # field with only a DeprecationWarning, and a chunk of blank
+                # lines gives a UserWarning ("input contained no data")
                 warnings.simplefilter("error", DeprecationWarning)
+                warnings.simplefilter("error", UserWarning)
                 a = np.loadtxt(lines, delimiter=",", comments=None, dtype=self.dtype,
                                ndmin=1)
-        except (ValueError, DeprecationWarning):
+        except (ValueError, DeprecationWarning, UserWarning):
             return None
         if len(a) != len(lines):  # loadtxt skips blank lines, which _row rejects
             return None

@@ -14,9 +14,11 @@ Hoeffding bound needs it.
 A trial scores a leaf's numeric attributes in one pass: split points
 (A, P), left class counts dist_L (A, P, |C|) and qualities (A, P) for the
 A numeric attributes that can split, P split points each and |C|
-classes, then one argmax per attribute. Each categorical attribute is
-scored as one (cardinality, |C|) table. A loop over attributes then
-keeps the best and second-best.
+classes, then one argmax per attribute. The categorical attributes are
+scored in one pass too: one quality per row of the element's histogram
+(every code of every attribute), then the first maximum within each
+attribute's rows. A loop over attributes then keeps the best and
+second-best.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .leaf_stats import ClassDistPair, StatsPool
+from .leaf_stats import StatsPool
 
 if TYPE_CHECKING:
     from .tree import TreeConfig
@@ -62,29 +64,6 @@ def gini(counts: Sequence[float]) -> float:
         return 0.0
     p = c / total
     return float(1.0 - np.dot(p, p))
-
-
-def split_quality(pair: ClassDistPair) -> float:
-    return float(_quality_rows(np.asarray(pair.left, dtype=np.float64),
-                               np.asarray(pair.right, dtype=np.float64)))
-
-
-def gini_reduction(total: Sequence[float], pair: ClassDistPair) -> float:
-    """Impurity drop of the partition, by the direct weighted-gini form."""
-    t = np.asarray(total, dtype=np.float64)
-    n = t.sum()
-    if n <= 0:
-        return 0.0
-    left = np.asarray(pair.left, dtype=np.float64)
-    right = np.asarray(pair.right, dtype=np.float64)
-    sl = left.sum()
-    sr = right.sum()
-    g = gini(t)
-    if sl > 0:
-        g -= sl / n * gini(left)
-    if sr > 0:
-        g -= sr / n * gini(right)
-    return g
 
 
 def hoeffding_bound(r: float, delta: float, n: int) -> float:
@@ -128,14 +107,18 @@ def _best_per_attribute(pool: StatsPool, e: int, counts: np.ndarray, split_point
             offered[idx] = True
             quality[idx] = qualities[rows, ks]
             point[idx] = pts[rows, ks]
-    for attr in pool.cat_idx:
-        dist_l = pool.categorical_partition_table(e, attr)
-        if dist_l.any():
-            qualities = _quality_rows(dist_l, counts - dist_l)
-            k = int(np.argmax(qualities))  # first max: lower code
-            offered[attr] = True
-            quality[attr] = qualities[k]
-            point[attr] = k
+    if pool.cat_idx:
+        dist_l = pool.hist[e].astype(np.float64)  # every code of every attribute
+        qualities = _quality_rows(dist_l, counts - dist_l)
+        starts = pool.cat_start
+        best = np.maximum.reduceat(qualities, starts)
+        # an attribute's first max (the lower code) is the first row at or
+        # after its start that holds its own best
+        hits = np.flatnonzero(qualities == np.repeat(best, np.diff(starts, append=len(dist_l))))
+        idx = np.asarray(pool.cat_idx)
+        offered[idx] = counts.any()  # each attribute's codes hold every sample
+        quality[idx] = best
+        point[idx] = hits[np.searchsorted(hits, starts)] - starts
     return quality, point, offered
 
 
@@ -143,7 +126,7 @@ def _candidate(pool, attr: int, point: np.ndarray, qs: list[float]) -> SplitCand
     """Attribute attr's best candidate; the tree stores a numeric split
     point as a float threshold and a categorical one as an int code."""
     pt = point[attr]
-    return SplitCandidate(attr, int(pt) if attr in pool.cat_sub else float(pt), qs[attr])
+    return SplitCandidate(attr, int(pt) if attr in pool.cat_idx else float(pt), qs[attr])
 
 
 def evaluate_split_trial(pool: StatsPool, e: int, config: "TreeConfig") -> SplitDecision:

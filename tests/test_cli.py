@@ -5,7 +5,7 @@ import json
 import pytest
 
 from streamtree import cli, restore
-from streamtree.schema import load_schema
+from streamtree.schema import CHUNK_LINES, load_schema
 
 
 @pytest.fixture()
@@ -157,6 +157,18 @@ def test_nan_field_is_status_4(stream, tmp_path, capsys):
     assert "row 2" in err and "NaN" in err
 
 
+def test_blank_chunk_is_status_4(stream, tmp_path, capsys):
+    # a whole chunk of blank lines: loadtxt warns before the row path
+    # rejects it, and the warning must not leak (pytest turns it into an error)
+    _, schema = stream
+    bad = tmp_path / "blank.csv"
+    bad.write_text("0.5,0.5,0\n" * CHUNK_LINES + "\n" * CHUNK_LINES + "0.5,0.5,1\n")
+    rc = cli.run(["eval", "--data", str(bad), "--schema", schema])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"row {CHUNK_LINES + 1}" in err
+
+
 def test_usage_error_is_status_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["eval"])  # --data/--schema are required
@@ -228,12 +240,38 @@ def test_cdf_export_limit_below_one(stream, capsys, limit):
                                    ["--quantiles", "1"], ["--lambda", "nan"],
                                    ["--lambda", "inf"], ["--tau", "nan"], ["--tau", "inf"]])
 def test_cdf_export_bad_tracker_config(stream, capsys, flags):
-    # the same error eval gives for the same flags
+    # the same error eval gives for the same flags; cdf-export has no --tau
     data, schema = stream
     for command in (["cdf-export", "--attr", "0"], ["eval"]):
-        rc = cli.run([*command, "--data", data, "--schema", schema, *flags])
-        assert rc == 1
+        argv = [*command, "--data", data, "--schema", schema, *flags]
+        if command[0] == "cdf-export" and flags[0] == "--tau":
+            with pytest.raises(SystemExit) as exc:
+                cli.run(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            continue
+        assert cli.run(argv) == 1
         assert "bad configuration" in capsys.readouterr().err
+
+
+CDF_EXPORT = ("cdf-export", "--attr", "0")
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((CDF_EXPORT, flag) for flag in (
+        "--method gaussian", "--nmin 7", "--split-points 3", "--tau 0.1", "--delta 0.1",
+        "--max-leaves 8", "--max-depth 3", "--numeric-backend fixed")),
+    (("compare",), "--method gaussian"),
+    (("compare",), "--numeric-backend fixed"),
+    (("sweep",), "--method gaussian"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v.split()[0])
+def test_flag_the_command_does_not_read_is_refused(stream, capsys, command, flag):
+    # a command takes only the settings it uses, so none is silently ignored
+    data, schema = stream
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*command, "--data", data, "--schema", schema, *flag.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_encode_builds_coded_csv_and_schema(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from reference_kernels import track_quantiles, welford
 from streamtree.leaf_stats import StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
+from streamtree.split_eval import evaluate_split_trial
 from streamtree.tree import TreeConfig
 
 TWO_NUM = DatasetSchema(
@@ -80,10 +81,8 @@ class TestObserve:
         observe(pool, e, Sample([0.1, 2], 0))
         observe(pool, e, Sample([0.1, 2], 1))
         observe(pool, e, Sample([0.1, 0], 1))
-        h = pool.hists[0]
-        assert h[0, 2].tolist() == [1, 1]
-        assert h[0, 0].tolist() == [0, 1]
-        assert h[0, 1].tolist() == [0, 0]
+        assert pool.hist[0].tolist() == [[0, 1], [0, 0], [1, 1]]
+        assert pool.element_doc(0)["hists"] == [[[0, 1], [0, 0], [1, 1]]]
 
     def test_pool_matches_scalar_trackers(self):
         # dual-surface check: flat pool vs the scalar tracker reference
@@ -262,26 +261,57 @@ class TestCategoricalPartitions:
             observe(pool, 0, Sample([0.0, 0], 1))
         return pool
 
+    def trial(self, pool, e=0):
+        """The categorical attribute's best candidate; the numeric one is
+        constant, so it offers no split."""
+        decision = evaluate_split_trial(pool, e, TreeConfig())
+        assert decision.second_best is None
+        assert decision.best.attribute == 1
+        return decision.best
+
     def test_hand_counts(self):
         pool = self.fill()
-        left = pool.categorical_partition_table(0, 1)[1]
-        assert left.tolist() == [10.0, 5.0]
-        assert (pool.n_fj[0] - left).tolist() == [20.0, 15.0]
+        assert pool.hist[0].tolist() == [[20, 15], [10, 5], [0, 0]]
+        # codes 0 and 1 split the leaf into the same two halves; the tie
+        # goes to the lower code
+        best = self.trial(pool)
+        assert best.split_point == 0
+        assert best.quality == pytest.approx(625 / 35 + 125 / 15)
 
     def test_unseen_value(self):
         pool = self.fill()
-        left = pool.categorical_partition_table(0, 1)[2]
-        assert left.tolist() == [0.0, 0.0]
-        assert (pool.n_fj[0] - left).tolist() == [30.0, 20.0]
+        # code 2 puts every sample on the right: the leaf's own quality
+        assert pool.hist[0, 2].tolist() == [0, 0]
+        assert self.trial(pool).quality > (30 ** 2 + 20 ** 2) / 50
 
     def test_all_mass_on_one_value(self):
         pool = make_pool(MIXED)
         e = 0
         for y in (0, 1, 1):
             observe(pool, e, Sample([0.0, 2], y))
-        left = pool.categorical_partition_table(e, 1)[2]
-        assert left.tolist() == [1.0, 2.0]
-        assert (pool.n_fj[e] - left).tolist() == [0.0, 0.0]
+        assert pool.hist[e].tolist() == [[0, 0], [0, 0], [1, 2]]
+        # every code leaves one side empty, so all tie at the leaf's quality
+        best = self.trial(pool, e)
+        assert best.split_point == 0
+        assert best.quality == pytest.approx(5 / 3)
+
+    def test_attributes_scored_apart(self):
+        # two categorical attributes side by side in `hist`: each is scored
+        # over its own rows only
+        schema = DatasetSchema((
+            AttributeSpec("c0", "categorical", cardinality=2),
+            AttributeSpec("c1", "categorical", cardinality=3),
+        ), 2)
+        pool = make_pool(schema)
+        for codes, y in (([0, 2], 0), ([0, 2], 0), ([1, 1], 1), ([1, 0], 1)):
+            observe(pool, 0, Sample(codes, y))
+        assert pool.cat_start == (0, 2)
+        assert pool.element_doc(0)["hists"] == [[[2, 0], [0, 2]],
+                                                [[0, 1], [0, 1], [2, 0]]]
+        decision = evaluate_split_trial(pool, 0, TreeConfig())
+        assert (decision.best.attribute, decision.best.split_point) == (0, 0)
+        assert (decision.second_best.attribute, decision.second_best.split_point) == (1, 2)
+        assert decision.best.quality == decision.second_best.quality == 4.0
 
 
 class TestRecycling:
@@ -294,7 +324,7 @@ class TestRecycling:
         assert pool.n_f[2] == 0
         assert np.all(pool.n_fj[2] == 0)
         assert np.isinf(pool.min_a[2]).all() and np.isinf(pool.max_a[2]).all()
-        assert np.all(pool.hists[0][2] == 0)
+        assert np.all(pool.hist[2] == 0)
         assert np.all(pool.trackers[2] == 0)
 
     @pytest.mark.parametrize("kw", [{}, {"backend": "fixed"}, {"method": "gaussian"}])

@@ -6,7 +6,9 @@ consistently would pass them. These hashes pin the bytes themselves:
 a refactor of the statistics pool, the split trial or the snapshot
 encoding that changes what the tree learns or how it is written fails
 here. The `categorical` preset has one categorical and one numeric
-attribute, so both statistics layouts are covered.
+attribute, so both statistics layouts are covered; the `bimodal` preset
+has no categorical attribute, so its hashes pin the snapshot of an empty
+categorical layout (`"hists":[]`), which every benchmark stream has.
 
 A change that is meant to move the learner's output must say why and
 re-record these hashes with the same stream.
@@ -51,4 +53,26 @@ def test_snapshot_bytes_match_golden_hash(name):
     tree.train(generate(PRESET, ROWS, seed=SEED))
     if "max_leaves" in overrides:
         assert tree.freeze_count > 0
+    assert hashlib.sha256(tree.snapshot()).hexdigest() == want
+
+
+# recorded from the same stream before categorical counts became one array
+NUMERIC_PRESET = "bimodal"
+NUMERIC_GOLDEN = {
+    "quantile-float": (
+        {},
+        "d62bfea06a620ad4541d1f8c4119e85fd96501e9824a4f8f763fcc6927638be8",
+    ),
+    "quantile-fixed": (
+        {"numeric_backend": "fixed"},
+        "f7599a97ca0eb2ca0746a3e99abe910a1ee12b2579ce21981d57f1761100bb9e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_GOLDEN))
+def test_numeric_only_snapshot_bytes_match_golden_hash(name):
+    overrides, want = NUMERIC_GOLDEN[name]
+    tree = new_tree(preset_schema(NUMERIC_PRESET), TreeConfig(**overrides))
+    tree.train(generate(NUMERIC_PRESET, ROWS, seed=SEED))
     assert hashlib.sha256(tree.snapshot()).hexdigest() == want

@@ -6,7 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from streamtree.leaf_stats import ClassDistPair, StatsPool
+from reference_kernels import ClassDistPair, gini_reduction, split_quality
+from streamtree.leaf_stats import StatsPool
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
 from streamtree.split_eval import (
     REASON_GAIN,
@@ -14,9 +15,7 @@ from streamtree.split_eval import (
     REASON_TIE,
     evaluate_split_trial,
     gini,
-    gini_reduction,
     hoeffding_bound,
-    split_quality,
 )
 from streamtree.tree import TreeConfig
 
@@ -249,6 +248,12 @@ class TestEvaluateSplitTrial:
         assert decision.taken
         assert decision.best.attribute == 0
         assert decision.best.split_point == 2
+
+    def test_empty_element_offers_nothing(self):
+        schema = DatasetSchema((AttributeSpec("c0", "categorical", cardinality=3),), 2)
+        decision = evaluate_split_trial(fill_element(schema, []), 0, TreeConfig())
+        assert decision.best is None
+        assert decision.reason == REASON_NONE
 
     def test_decision_monotone_in_n(self):
         # same G values at larger n can only keep a taken decision taken

@@ -95,7 +95,8 @@ def oracle_trial(pool, e, config):
                 continue
             dist_l = oracle_partition_table(pool, e, attr, pts)
         else:
-            dist_l = pool.hists[pool.cat_sub[attr]][e].astype(np.float64)
+            table = pool.element_doc(e)["hists"][pool.cat_idx.index(attr)]
+            dist_l = np.array(table, dtype=np.float64)
             if not dist_l.any():
                 continue
             pts = list(range(spec.cardinality))

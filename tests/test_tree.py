@@ -371,6 +371,18 @@ class TestSnapshot:
         for s in synth.generate("categorical", 500, seed=2):
             assert clone.predict(s) == tree.predict(s)
 
+    @pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(numeric_backend="fixed"),
+                                     TreeConfig(method="gaussian")],
+                             ids=["quantile-float", "quantile-fixed", "gaussian"])
+    def test_round_trip_without_numeric_attributes(self, cfg):
+        # the numeric statistics are empty arrays, written as []
+        schema = DatasetSchema((AttributeSpec("c0", "categorical", cardinality=2),
+                                AttributeSpec("c1", "categorical", cardinality=3)), 2)
+        tree = new_tree(schema, cfg)
+        tree.train(Sample([k % 2, k % 3], int(k % 3 == 0)) for k in range(1000))
+        assert tree.split_count > 0
+        assert restore(tree.snapshot()).snapshot() == tree.snapshot()
+
 
 def leaf_docs(node):
     if node["kind"] == "internal":
@@ -653,6 +665,47 @@ class TestSnapshotValidation:
         el["min_a"][0], el["max_a"][0] = lo, hi
         self.rejects(doc, "not \\(inf, -inf\\) before its first sample")
 
+    def test_negative_class_count(self):
+        doc = self.doc()
+        leaf = self.live_leaves(doc)[0]
+        el = doc["elements"][str(leaf["element"])]
+        # keep n_f and the leaf's majority in step, so only the sign is wrong
+        el["n_fj"] = [-1, el["n_f"] + 1]
+        leaf["majority"], leaf["majority_count"] = 1, el["n_f"] + 1
+        self.rejects(doc, "class or categorical count is negative")
+
+    def test_negative_histogram_count(self):
+        doc = self.fixed_categorical_doc()
+        el = self.element(doc)
+        code = el["hists"][0][0]
+        # the attribute's counts still sum to n_fj
+        code[:] = [code[0] - 500, code[1] + 500]
+        self.rejects(doc, "class or categorical count is negative")
+
+    def test_histogram_disagrees_with_class_counts(self):
+        doc = self.fixed_categorical_doc()
+        self.element(doc)["hists"][0][0][1] += 1
+        self.rejects(doc, "summed over an attribute's codes, are not its class counts")
+
+    @pytest.mark.parametrize("key, value", [("qvals", 0.25), ("min_a", [-0.9]),
+                                            ("n_fj", [[3, 4]])])
+    def test_statistic_of_the_wrong_shape(self, key, value):
+        # numpy would broadcast each of these into the slot
+        doc = self.doc()
+        self.element(doc)[key] = value
+        self.rejects(doc, f"{key} has shape")
+
+    def test_histogram_of_the_wrong_shape(self):
+        doc = self.fixed_categorical_doc()
+        hists = self.element(doc)["hists"]
+        hists[0] = hists[0][0]  # one code's (|C|,) counts for the whole table
+        self.rejects(doc, "hists has shape")
+
+    def test_histogram_for_too_few_attributes(self):
+        doc = self.fixed_categorical_doc()
+        self.element(doc)["hists"] = []
+        self.rejects(doc, "shorter")
+
     def test_count_too_large_for_int64(self):
         doc = self.doc()
         self.element(doc)["n_fj"][0] = 2 ** 70
@@ -713,6 +766,28 @@ class TestNonFiniteInput:
             tree.predict(bad)
         with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
             tree.step(bad)
+        assert tree.snapshot() == before
+
+
+class TestCodeOutOfRange:
+    """A categorical code outside its attribute's cardinality would count
+    in a neighbouring attribute's rows of `hist`; it is rejected first."""
+
+    SCHEMA = DatasetSchema((AttributeSpec("c0", "categorical", cardinality=2),
+                            AttributeSpec("c1", "categorical", cardinality=3)), 2)
+
+    @pytest.mark.parametrize("values, message", [
+        ([2, 0], "attribute 0 \\('c0'\\) has code 2, outside 0..1"),
+        ([0, -1], "attribute 1 \\('c1'\\) has code -1, outside 0..2"),
+    ])
+    def test_rejected_and_tree_unchanged(self, values, message):
+        tree = new_tree(self.SCHEMA)
+        tree.train(Sample([k % 2, k % 3], k % 2) for k in range(50))
+        before = tree.snapshot()
+        bad = Sample(values, 0)
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError, match=message):
+                call(bad)
         assert tree.snapshot() == before
 
 

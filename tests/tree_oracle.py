@@ -8,8 +8,8 @@ from streamtree.tree import HoeffdingTree, LeafNode
 
 def check_tree(tree: HoeffdingTree) -> None:
     """Assert the parent links, the leaf and depth caps, the counters, pool
-    conservation, per-class count totals and every leaf's majority, then
-    validate."""
+    conservation, per-class count totals, the categorical counts and every
+    leaf's majority, then validate."""
     config = tree.config
     pool = tree.pool
     stats = tree.stats
@@ -36,6 +36,11 @@ def check_tree(tree: HoeffdingTree) -> None:
             assert eid not in seen, f"element {eid} shared by two leaves"
             seen.add(eid)
             counts = stats.n_fj[eid]
+            assert (counts >= 0).all()
+            for table in stats.element_doc(eid)["hists"]:
+                # each categorical attribute's codes partition the samples
+                assert (np.array(table) >= 0).all()
+                assert np.array_equal(np.sum(table, axis=0), counts)
         assert node.majority_count == counts.max()
         if node.majority_count > 0:
             # ties go to the lower class
