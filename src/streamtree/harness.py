@@ -209,7 +209,7 @@ def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
     xs = np.sort(np.asarray(values))
     n = len(xs)
     exact = np.arange(1, n + 1) / n
-    trackers = qpool.trackers[0, 0, 0]
+    trackers = qpool.trackers[0, 0, :, 0]
     quantile = _cdf_curve(trackers, qpool.targets, xs, float(xs[0]), float(xs[-1]))
     step = (trackers < xs[:, None]).sum(1) / qpool.quantile_count
     # a single sample or no spread gives a step at the mean

@@ -1,9 +1,9 @@
 """Per-leaf training statistics stored in flat shared pools.
 
 All statistics for every leaf live in preallocated arrays indexed by
-(element, attribute, class): element ids are dense integers handed out by
-the tree's pool, so memory is bounded by capacity regardless of how the
-tree grows, and recycling an element is a slice reset. A leaf holds
+element first: element ids are dense integers handed out by the tree's
+pool, so memory is bounded by capacity regardless of how the tree grows,
+and recycling an element is a slice reset. A leaf holds
 its element's id and nothing else: the tree reads and writes the arrays
 directly, with no per-access guard. A `generation` counter per element
 counts its recyclings; snapshots carry it. A pool is built from a
@@ -20,11 +20,20 @@ the array kernels of `fixed_point`. A bank doubles as a compact CDF
 estimate: the mass below a point is the fraction of trackers strictly
 below it, in 1/Q steps. The Gaussian is a one-pass unit-weight Welford
 mean and variance sum (Pfahringer, Holmes & Kirkby 2008). Categorical
-attributes carry code-by-class count histograms. The per-sample update
-path is vectorized across attributes (one sample touches every attribute
-of one (element, class) slice), and `observe` returns the element's
-updated sample count and the sample's class count as Python ints, so the
-tree reads neither back from the arrays.
+attributes carry code-by-class count histograms.
+
+Each (element, class) pair owns one contiguous bank with the numeric
+attribute axis last: `trackers` is (capacity, |C|, Q, A) and `g_mean`,
+`g_vsum` are (capacity, |C|, A), so one sample updates one block of
+memory, `trackers[e, label]` against (Q, 1) step columns or a Welford
+update on (A,) rows. Snapshots keep the (A, |C|, Q) and (A, |C|) nesting
+per element under the same keys; `element_doc` and `load_element`
+transpose. `observe` takes the sample's numeric values from the
+`numeric` float64 row that `SampleStream` attaches to a parsed sample's
+values; a list without one, as a library caller builds it, becomes one
+array. It returns the element's updated sample count and the sample's
+class count as Python ints, so the tree reads neither back from the
+arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
@@ -52,7 +61,8 @@ attributes that can split (min < max), P split points per attribute, |C|
 classes and Q quantiles: `split_points` gives the mask of those
 attributes and their points as one (A, P) array, and
 `numeric_partition_table` gives dist_L as one (A, P, |C|) array, from one
-(A, P, |C|, Q) tracker comparison or one array call to `normal_cdf`.
+(|C|, Q, A, P) tracker comparison summed over Q or one array call to
+`normal_cdf`.
 """
 
 from __future__ import annotations
@@ -94,6 +104,16 @@ def int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _load_slot(slot: np.ndarray, vals, key: str) -> None:
+    """Write JSON `vals` into `slot`, or raise ValueError naming `key`."""
+    v = (int_array(vals, key) if slot.dtype.kind == "i"
+         else np.asarray(vals, dtype=np.float64))
+    if v.shape == slot.shape:
+        slot[...] = v
+    elif slot.size or v.shape != (0,):  # tolist() writes an empty slot as []
+        raise ValueError(f"{key} has shape {v.shape}, expected {slot.shape}")
+
+
 class StatsPool:
     """Flat statistics arrays for up to `capacity` live elements."""
 
@@ -131,11 +151,15 @@ class StatsPool:
             "max_a": (self.max_a, -np.inf),
             "hists": (self.hist, 0),
         }
+        # The axes that turn an element's class-first bank into its
+        # snapshot nesting, for the keys that have one.
+        doc_axes: dict[str, tuple[int, ...]] = {}
 
         if method == METHOD_QUANTILE:
             self.targets = np.asarray(default_targets(config.quantile_count))
             Q = self.quantile_count = len(self.targets)
-            gains = (self.targets, 1.0 - self.targets)  # up and down, per unit lam
+            # up and down per unit lam, as (Q, 1) columns against a (Q, A) bank
+            gains = (self.targets[:, None], 1.0 - self.targets[:, None])
             if backend == BACKEND_FLOAT:
                 key, dtype = "qvals", np.float64
                 self.step_up, self.step_down = (config.lam * g for g in gains)
@@ -144,19 +168,24 @@ class StatsPool:
                 lam_raw, _ = fx.float_to_raw_array([config.lam])
                 self.step_up, self.step_down = (
                     fx.mul_raw_array(lam_raw, fx.float_to_raw_array(g)[0]) for g in gains)
-            self.trackers = np.zeros((capacity, A, C, Q), dtype=dtype)
+            self.trackers = np.zeros((capacity, C, Q, A), dtype=dtype)
             self._neg_step_down = -self.step_down
             self.element_arrays[key] = (self.trackers, 0)
+            doc_axes[key] = (2, 0, 1)  # (|C|, Q, A) -> (A, |C|, Q)
             if backend == BACKEND_FIXED:
                 # no step toward a sample in [_safe_lo, _safe_hi] leaves the
                 # window; the bounds are raw words scaled to exact float64s
                 self._safe_hi = (fx.RAW_MAX - int(self.step_up.max())) / fx.SCALE
                 self._safe_lo = (fx.RAW_MIN + int(self.step_down.max())) / fx.SCALE
         else:
-            self.g_mean = np.zeros((capacity, A, C))
-            self.g_vsum = np.zeros((capacity, A, C))
-            self.element_arrays["g_mean"] = (self.g_mean, 0.0)
-            self.element_arrays["g_vsum"] = (self.g_vsum, 0.0)
+            self.g_mean = np.zeros((capacity, C, A))
+            self.g_vsum = np.zeros((capacity, C, A))
+            for key, arr in (("g_mean", self.g_mean), ("g_vsum", self.g_vsum)):
+                self.element_arrays[key] = (arr, 0.0)
+                doc_axes[key] = (1, 0)  # (|C|, A) -> (A, |C|)
+        # every statistic but "hists", which the snapshot splits per attribute
+        self._doc_keys = [(key, arr, doc_axes.get(key))
+                          for key, (arr, _) in self.element_arrays.items() if key != "hists"]
 
         self.saturation_count = 0
 
@@ -169,25 +198,19 @@ class StatsPool:
     def element_doc(self, e: int) -> dict:
         """Element e's statistics as JSON-ready lists, by snapshot key;
         "hists" holds one (cardinality, |C|) list per attribute."""
-        doc = {key: arr[e].tolist() for key, (arr, _) in self.element_arrays.items()}
-        doc["hists"] = [doc["hists"][rows] for rows in self._cat_rows]
+        doc = {key: (arr[e] if axes is None else arr[e].transpose(axes)).tolist()
+               for key, arr, axes in self._doc_keys}
+        doc["hists"] = [self.hist[e, rows].tolist() for rows in self._cat_rows]
         return doc
 
     def load_element(self, e: int, doc: dict) -> None:
         """Overwrite element e's statistics from an `element_doc` dict; raises
         ValueError for a value whose type or shape does not fit its slot."""
-        for key, (arr, _) in self.element_arrays.items():
-            if key == "hists":
-                slots = zip([arr[e, rows] for rows in self._cat_rows], doc[key], strict=True)
-            else:
-                slots = [(arr[e, ...], doc[key])]  # a view, 0-d for n_f
-            for slot, vals in slots:
-                v = (int_array(vals, key) if arr.dtype.kind == "i"
-                     else np.asarray(vals, dtype=np.float64))
-                if v.shape == slot.shape:
-                    slot[...] = v
-                elif slot.size or v.shape != (0,):  # tolist() writes an empty slot as []
-                    raise ValueError(f"{key} has shape {v.shape}, expected {slot.shape}")
+        for key, arr, axes in self._doc_keys:
+            # a view in the snapshot's nesting, 0-d for n_f
+            _load_slot(arr[e, ...] if axes is None else arr[e].transpose(axes), doc[key], key)
+        for rows, table in zip(self._cat_rows, doc["hists"], strict=True):
+            _load_slot(self.hist[e, rows], table, "hists")
 
     def _to_tracker_units(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Reals in tracker units, with how many saturated on the way."""
@@ -203,8 +226,9 @@ class StatsPool:
         self.n_fj[e, label] = cj
 
         if self.numeric_idx:
-            xs = [values[i] for i in self.numeric_idx]
-            xv = np.array(xs)
+            xv = getattr(values, "numeric", None)  # the parser's float64 row
+            if xv is None:
+                xv = np.array([values[i] for i in self.numeric_idx], dtype=np.float64)
             lo = self.min_a[e]
             np.minimum(lo, xv, out=lo)
             hi = self.max_a[e]
@@ -215,29 +239,30 @@ class StatsPool:
                 edge = False
                 if self.backend == BACKEND_FLOAT:
                     xt = xv
-                elif self._safe_lo <= min(xs) and max(xs) <= self._safe_hi:
-                    xt = fx.quantize_array(xv)
                 else:
-                    xt, sat = fx.float_to_raw_array(xv)
-                    self.saturation_count += sat
-                    edge = True
-                v = self.trackers[e, :, label, :]
+                    xs = xv.tolist()  # Python min and max beat numpy's on a short row
+                    if self._safe_lo <= min(xs) and max(xs) <= self._safe_hi:
+                        xt = fx.quantize_array(xv)
+                    else:
+                        xt, sat = fx.float_to_raw_array(xv)
+                        self.saturation_count += sat
+                        edge = True
+                v = self.trackers[e, label]
                 if cj == 1:
-                    v[...] = xt[:, None]
+                    v[...] = xt
                 else:
-                    v += np.where(v < xt[:, None], self.step_up, self._neg_step_down)
+                    v += np.where(v < xt, self.step_up, self._neg_step_down)
                     if edge:
                         self.saturation_count += fx.saturate_raw_array(v)
+            elif cj == 1:
+                self.g_mean[e, label] = xv
+                self.g_vsum[e, label] = 0.0
             else:
-                if cj == 1:
-                    self.g_mean[e, :, label] = xv
-                    self.g_vsum[e, :, label] = 0.0
-                else:
-                    m = self.g_mean[e, :, label]
-                    d = xv - m
-                    m2 = m + d / cj
-                    self.g_vsum[e, :, label] += d * (xv - m2)
-                    self.g_mean[e, :, label] = m2
+                m = self.g_mean[e, label]
+                d = xv - m
+                m2 = m + d / cj
+                self.g_vsum[e, label] += d * (xv - m2)
+                self.g_mean[e, label] = m2
 
         for i, start in zip(self.cat_idx, self.cat_start):
             self.hist[e, start + values[i], label] += 1
@@ -263,15 +288,20 @@ class StatsPool:
         if self.method == METHOD_QUANTILE:
             # a split point that saturates is not a saturated sample
             pt, _ = self._to_tracker_units(pts)
-            q = self.trackers[e][valid]  # (n, C, Q)
-            below = (q[:, None, :, :] < pt[:, :, None, None]).sum(axis=3)
-            dist_l = below / self.quantile_count * counts
+            # compared as (|C|, Q, n, P) and summed over Q, whole (n, P)
+            # blocks at a time; dist_L is laid out (n, P, |C|) again, so
+            # the trial sums each row's classes along a contiguous axis,
+            # in the same float order as ever
+            q = self.trackers[e].compress(valid, axis=2)
+            below = (q[:, :, :, None] < pt).sum(axis=1).transpose(1, 2, 0)
+            dist_l = np.divide(below, self.quantile_count, order="C")
+            dist_l *= counts
         else:
-            vs = self.g_vsum[e][valid]  # (n, C)
+            vs = self.g_vsum[e].T[valid]  # (n, C)
             # fewer than two samples or no spread: variance 0, a step at the mean
             fitted = (counts > 1) & (vs > 0.0)
             var = np.divide(vs, counts - 1.0, out=np.zeros_like(vs), where=fitted)
-            dist_l = counts * normal_cdf(pts[:, :, None], self.g_mean[e][valid][:, None, :],
+            dist_l = counts * normal_cdf(pts[:, :, None], self.g_mean[e].T[valid][:, None, :],
                                          var[:, None, :])
         # zero-count classes contribute nothing regardless of method
         dist_l[..., counts == 0] = 0.0

@@ -19,7 +19,9 @@ constant in file size: one chunk of lines and a few chunk-sized arrays
 parser refuses, for whatever reason, goes through the one per-row
 function instead; that function defines what the stream accepts, yields
 the rows before a bad one and names the bad row in its
-StreamFormatError.
+StreamFormatError. A block-parsed sample's values list also carries its
+numeric values as the parser's read-only float64 row, `values.numeric`,
+which the learner's statistics take as is.
 """
 
 from __future__ import annotations
@@ -113,6 +115,38 @@ class DatasetSchema:
 class Sample(NamedTuple):
     values: list  # normalized floats for numeric, int codes for categorical
     label: int
+
+
+class _Row(list):
+    """A parsed sample's values that also carry its numeric values, in
+    attribute order, as the parser's read-only float64 row `numeric`, so
+    the learner need not build that array again. A change to the list
+    drops the row (sets it to None)."""
+
+    __slots__ = ("numeric",)
+
+
+def _drops_numeric(name: str):
+    method = getattr(list, name)
+
+    def mutate(self, *args, **kwargs):
+        self.numeric = None
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = name
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(_Row, _name, _drops_numeric(_name))
+del _name
+
+
+def _numeric_row(values: list, numeric: np.ndarray) -> _Row:
+    row = _Row(values)
+    row.numeric = numeric
+    return row
 
 
 def _typed(value, types: tuple, what: str):
@@ -427,6 +461,7 @@ class _Block:
                 norm -= 1.0
             np.minimum(norm, 1.0, out=norm)
             np.maximum(norm, -1.0, out=norm)
+            norm.flags.writeable = False
             parts.append((self.num_at, norm))
         if len(parts) == 1:
             rows = parts[0][1].tolist()
@@ -435,6 +470,8 @@ class _Block:
             for at, part in parts:
                 mixed[:, at] = part  # float64 -> float, int64 -> int
             rows = mixed.tolist()
+        if self.numeric:
+            rows = map(_numeric_row, rows, norm)
         # tuple.__new__ builds each Sample without a Python-level __new__ call
         samples = map(tuple.__new__, itertools.repeat(Sample), zip(rows, labels))
         return zip(samples, clamps)

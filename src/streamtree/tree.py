@@ -183,16 +183,23 @@ class HoeffdingTree:
     # ------------------------------------------------------------- routing
 
     def sort_to_leaf(self, s: Sample) -> LeafNode:
-        """The leaf s routes to; raises ValueError for a NaN or infinite
-        numeric value or a categorical code outside its attribute's
-        cardinality, so `step`, `train_one` and `predict` all do."""
+        """The leaf s routes to; raises ValueError for a label that is not
+        an int in 0..|C|-1, a NaN or infinite numeric value, or a
+        categorical code that is not an int in 0..cardinality-1, so
+        `step`, `train_one` and `predict` all do, before the tree changes."""
+        label = s.label
+        if type(label) is not int or not 0 <= label < self.schema.class_count:
+            raise ValueError(f"label {label!r} is not an int in "
+                             f"0..{self.schema.class_count - 1}")
         values = s.values
         if not math.isfinite(sum(values)):
             self._reject_non_finite(s)
         for i, card in self._code_ranges:
-            if not 0 <= values[i] < card:
+            code = values[i]
+            if type(code) is not int or not 0 <= code < card:
+                what = "outside" if type(code) is int else "not an int in"
                 raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
-                                 f"has code {values[i]!r}, outside 0..{card - 1}")
+                                 f"has code {code!r}, {what} 0..{card - 1}")
         node = self.root
         while not isinstance(node, LeafNode):
             v = values[node.attribute]

@@ -118,8 +118,8 @@ def test_c04_tracker_convergence():
     pool = StatsPool(schema, TreeConfig(), 1)
     for row in np.column_stack([xs, ys]).tolist():
         pool.observe(0, row, 0)
-    assert pool.trackers[0, 0, 0].tolist() == qx
-    assert pool.trackers[0, 1, 0].tolist() == qy
+    assert pool.trackers[0, 0, :, 0].tolist() == qx
+    assert pool.trackers[0, 0, :, 1].tolist() == qy
 
 
 # ------------------------------------------------------------------- c05
@@ -159,8 +159,8 @@ def test_c05_incremental_gaussian_oracle():
             pool.observe(0, row, 0)
             cols = ends.get(seen)
             if cols is not None:
-                means[cols] = pool.g_mean[0, cols, 0]
-                vsums[cols] = pool.g_vsum[0, cols, 0]
+                means[cols] = pool.g_mean[0, 0, cols]
+                vsums[cols] = pool.g_vsum[0, 0, cols]
 
     for xs, m, vs in zip(streams, means, vsums):
         mean = xs.mean()

@@ -222,6 +222,6 @@ def test_pool_steps_match_rational_oracle(lam, count):
     pool = StatsPool(one, TreeConfig(quantile_count=count, lam=lam, numeric_backend="fixed"), 1)
     lam_raw = oracle_raw(lam)
     targets = default_targets(count)
-    assert pool.step_up.tolist() == [oracle_mul(lam_raw, oracle_raw(a)) for a in targets]
-    assert pool.step_down.tolist() == [oracle_mul(lam_raw, oracle_raw(1.0 - a))
+    assert pool.step_up[:, 0].tolist() == [oracle_mul(lam_raw, oracle_raw(a)) for a in targets]
+    assert pool.step_down[:, 0].tolist() == [oracle_mul(lam_raw, oracle_raw(1.0 - a))
                                        for a in targets]

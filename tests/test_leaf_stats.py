@@ -44,9 +44,9 @@ class TestObserve:
         assert pool.n_fj[e].tolist() == [0, 1]
         assert pool.min_a[0].tolist() == [0.4, -0.2]
         assert pool.max_a[0].tolist() == [0.4, -0.2]
-        assert np.all(pool.trackers[0, 0, 1] == 0.4)
-        assert np.all(pool.trackers[0, 1, 1] == -0.2)
-        assert np.all(pool.trackers[0, :, 0] == 0.0)  # other class untouched
+        assert np.all(pool.trackers[0, 1, :, 0] == 0.4)
+        assert np.all(pool.trackers[0, 1, :, 1] == -0.2)
+        assert np.all(pool.trackers[0, 0] == 0.0)  # other class untouched
 
     def test_two_samples_update_in_order(self):
         pool = make_pool(lam=0.01)
@@ -54,7 +54,7 @@ class TestObserve:
         observe(pool, e, Sample([0.5, 0.0], 0))
         observe(pool, e, Sample([0.7, 0.0], 0))
         ref = track_quantiles([0.5, 0.7], default_targets(8), 0.01)
-        assert pool.trackers[0, 0, 0].tolist() == ref
+        assert pool.trackers[0, 0, :, 0].tolist() == ref
 
     def test_counting(self):
         rng = np.random.default_rng(2)
@@ -97,7 +97,7 @@ class TestObserve:
             for a in range(2):
                 seen[(a, s.label)].append(s.values[a])
         for (a, c), xs in seen.items():
-            assert pool.trackers[1, a, c].tolist() == track_quantiles(
+            assert pool.trackers[1, c, :, a].tolist() == track_quantiles(
                 xs, default_targets(8), 0.02)
 
     def test_gaussian_pool_matches_scalar(self):
@@ -112,7 +112,7 @@ class TestObserve:
             for a in range(2):
                 seen[(a, s.label)].append(s.values[a])
         for (a, c), xs in seen.items():
-            assert (pool.g_mean[0, a, c], pool.g_vsum[0, a, c]) == welford(xs)
+            assert (pool.g_mean[0, c, a], pool.g_vsum[0, c, a]) == welford(xs)
 
 
 class TestSplitPoints:
@@ -160,7 +160,7 @@ class TestDeducePartitions:
     def test_hand_count(self):
         pool = make_pool()
         e = 0
-        pool.trackers[0, 0, 1] = np.arange(0.1, 0.9, 0.1)
+        pool.trackers[0, 1, :, 0] = np.arange(0.1, 0.9, 0.1)
         pool.n_fj[0, 1] = 80
         pool.n_f[0] = 80
         left, right = split_at(pool, e, 0, 0.45)

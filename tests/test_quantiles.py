@@ -25,7 +25,7 @@ def pool_at(values, lam=0.01):
     default target of len(values)."""
     pool = bank_pool(len(values), lam)
     pool.observe(0, [values[0]], 0)
-    pool.trackers[0, 0, 0] = values
+    pool.trackers[0, 0, :, 0] = values
     return pool
 
 
@@ -36,7 +36,7 @@ def feed(pool, xs):
 
 
 def bank(pool, attr=0):
-    return pool.trackers[0, attr, 0].tolist()
+    return pool.trackers[0, 0, :, attr].tolist()
 
 
 def mass_below(pool, pts):
@@ -197,7 +197,7 @@ def equilibrium():
     pool = bank_pool(8, attrs=5)
     feed(pool, xs[:200_000])
     acc = np.zeros((5, 8))
-    v = pool.trackers[0, :, 0]
+    v = pool.trackers[0, 0].T
     for row in xs[200_000:].tolist():
         pool.observe(0, row, 0)
         acc += v
@@ -213,7 +213,7 @@ class TestConvergence:
     def test_uniform_stream(self, converged):
         pool, xs, _ = converged
         # Uniform(0,1): F(Q) = Q, so tracker error reads off directly.
-        err = np.max(np.abs(pool.trackers[0, 0, 0] - pool.targets))
+        err = np.max(np.abs(pool.trackers[0, 0, :, 0] - pool.targets))
         assert err <= 0.05
         # a 200k pool pass takes seconds, so the time bound is held by the
         # scalar reference, which ends on the pool's bits
@@ -257,5 +257,5 @@ class TestCdfCurve:
     def test_uniform_reconstruction_error(self, converged):
         pool, _, _ = converged
         grid = np.linspace(0.0, 1.0, 1001)
-        ys = _cdf_curve(pool.trackers[0, 2, 0], pool.targets, grid, 0.0, 1.0)
+        ys = _cdf_curve(pool.trackers[0, 0, :, 2], pool.targets, grid, 0.0, 1.0)
         assert np.max(np.abs(ys - grid)) <= 0.05  # true CDF of U(0,1) is x

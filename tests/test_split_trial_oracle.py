@@ -52,15 +52,15 @@ def oracle_partition_table(pool, e, attr, pts):
     pts_arr = np.asarray(pts, dtype=np.float64)
     if pool.method == "quantile":
         pt, _ = pool._to_tracker_units(pts_arr)
-        q = pool.trackers[e, k]
+        q = pool.trackers[e, :, :, k]
         below = (q[None, :, :] < pt[:, None, None]).sum(axis=2)
         dist_l = below / pool.quantile_count * counts[None, :]
     else:
         dist_l = np.empty((len(pts_arr), pool.class_count))
         for j in range(pool.class_count):
             n = counts[j]
-            m = pool.g_mean[e, k, j]
-            vs = pool.g_vsum[e, k, j]
+            m = pool.g_mean[e, j, k]
+            vs = pool.g_vsum[e, j, k]
             if n <= 1 or vs <= 0.0:
                 dist_l[:, j] = np.where(pts_arr < m, 0.0, n)
             else:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -779,6 +780,7 @@ class TestCodeOutOfRange:
     @pytest.mark.parametrize("values, message", [
         ([2, 0], "attribute 0 \\('c0'\\) has code 2, outside 0..1"),
         ([0, -1], "attribute 1 \\('c1'\\) has code -1, outside 0..2"),
+        ([1.0, 0], "attribute 0 \\('c0'\\) has code 1.0, not an int in 0..1"),
     ])
     def test_rejected_and_tree_unchanged(self, values, message):
         tree = new_tree(self.SCHEMA)
@@ -791,11 +793,29 @@ class TestCodeOutOfRange:
         assert tree.snapshot() == before
 
 
+class TestLabelOutOfRange:
+    """A label must be an int class before the tree changes; -1 used to
+    count as the last class and |C| raised IndexError after `n_f` moved."""
+
+    @pytest.mark.parametrize("label", [-1, 2, 1.0, True, np.int64(1)],
+                             ids=["minus-1", "class-count", "float", "bool", "numpy-int"])
+    def test_rejected_and_tree_unchanged(self, label):
+        tree = new_tree(TWO_NUM)
+        tree.train(synth.generate("threshold", 50, seed=1))
+        before = tree.snapshot()
+        bad = Sample([0.5, -0.5], label)
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError, match=re.escape(f"label {label!r} is not an int in 0..1")):
+                call(bad)
+        assert tree.snapshot() == before
+        assert tree.train_count == 50
+
+
 class TestFixedSaturation:
     def test_huge_value_seeds_trackers_at_the_top_edge(self):
         tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
         tree.train_one(Sample([1e10, 0.5], 0))
-        q = tree.stats.trackers[tree.root.eid, 0, 0]
+        q = tree.stats.trackers[tree.root.eid, 0, :, 0]
         assert (q == fx.RAW_MAX).all()
         assert tree.stats.saturation_count == 1
 
