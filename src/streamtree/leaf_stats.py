@@ -60,9 +60,13 @@ A split trial reads one element as whole-leaf tables over the A numeric
 attributes that can split (min < max), P split points per attribute, |C|
 classes and Q quantiles: `split_points` gives the mask of those
 attributes and their points as one (A, P) array, and
-`numeric_partition_table` gives dist_L as one (A, P, |C|) array, from one
-(|C|, Q, A, P) tracker comparison summed over Q or one array call to
-`normal_cdf`.
+`numeric_partition_table` gives dist_L as one (A, P, |C|) array. The
+quantile table is one (|C|, Q, A, P) tracker comparison summed over Q.
+The Gaussian table is a step at the mean everywhere, with the CDF
+evaluated only at the fitted (attribute, class) pairs, those with at
+least two samples and some spread: one `normal_cdf` call on a compact
+(pairs, P) block, scattered into the table. The CDF thus costs one
+`math.erf` per fitted entry, and nothing for a pair that is a step.
 """
 
 from __future__ import annotations
@@ -134,6 +138,10 @@ class StatsPool:
         bounds = tuple(accumulate(cards, initial=0))
         self.cat_start = bounds[:-1]
         self._cat_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        # the split trial's per-attribute index arrays, built once
+        self.numeric_cols = np.array(self.numeric_idx, dtype=np.intp)
+        self.cat_cols = np.array(self.cat_idx, dtype=np.intp)
+        self.cat_cards = np.array(cards, dtype=np.intp)
         A = len(self.numeric_idx)
 
         self.generation = np.zeros(capacity, dtype=np.int64)
@@ -258,11 +266,10 @@ class StatsPool:
                 self.g_mean[e, label] = xv
                 self.g_vsum[e, label] = 0.0
             else:
-                m = self.g_mean[e, label]
+                m = self.g_mean[e, label]  # a view: updated in place
                 d = xv - m
-                m2 = m + d / cj
-                self.g_vsum[e, label] += d * (xv - m2)
-                self.g_mean[e, label] = m2
+                m += d / cj
+                self.g_vsum[e, label] += d * (xv - m)
 
         for i, start in zip(self.cat_idx, self.cat_start):
             self.hist[e, start + values[i], label] += 1
@@ -297,12 +304,16 @@ class StatsPool:
             dist_l = np.divide(below, self.quantile_count, order="C")
             dist_l *= counts
         else:
-            vs = self.g_vsum[e].T[valid]  # (n, C)
-            # fewer than two samples or no spread: variance 0, a step at the mean
-            fitted = (counts > 1) & (vs > 0.0)
-            var = np.divide(vs, counts - 1.0, out=np.zeros_like(vs), where=fitted)
-            dist_l = counts * normal_cdf(pts[:, :, None], self.g_mean[e].T[valid][:, None, :],
-                                         var[:, None, :])
-        # zero-count classes contribute nothing regardless of method
-        dist_l[..., counts == 0] = 0.0
+            mean = self.g_mean[e].T[valid]  # (n, C)
+            vs = self.g_vsum[e].T[valid]
+            # a step at the mean everywhere, then the fitted (attribute,
+            # class) pairs overwritten by their CDF as one (k, P) block;
+            # fewer than two samples or no spread leaves a pair a step
+            cdf = np.where(pts[:, :, None] < mean[:, None, :], 0.0, 1.0)
+            a, j = np.nonzero((counts > 1) & (vs > 0.0))
+            var = vs[a, j] / (counts[j] - 1.0)
+            cdf[a, :, j] = normal_cdf(pts[a], mean[a, j][:, None], var[:, None])
+            dist_l = counts * cdf
+        # a class with no samples has count 0, so its column is 0.0: every
+        # fraction above lies in [0, 1]
         return dist_l

@@ -78,13 +78,16 @@ def hoeffding_bound(r: float, delta: float, n: int) -> float:
 
 
 def _quality_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Quality of every candidate; class counts lie along the last axis."""
-    sl = left.sum(axis=-1)
-    sr = right.sum(axis=-1)
+    """Quality of every candidate; class counts lie along the last axis.
+    Both sides go through each reduction as one stacked array, every row
+    still summed along its own contiguous last axis, so in the float
+    order of a lone side."""
+    sides = np.stack((left, right))
+    totals = sides.sum(axis=-1)
+    sides *= sides
     # an empty side adds nothing
-    q = np.divide((left ** 2).sum(axis=-1), sl, out=np.zeros_like(sl), where=sl > 0)
-    q += np.divide((right ** 2).sum(axis=-1), sr, out=np.zeros_like(sr), where=sr > 0)
-    return q
+    q = np.divide(sides.sum(axis=-1), totals, out=np.zeros_like(totals), where=totals > 0)
+    return q[0] + q[1]
 
 
 def _best_per_attribute(pool: StatsPool, e: int, counts: np.ndarray, split_points: int
@@ -103,7 +106,7 @@ def _best_per_attribute(pool: StatsPool, e: int, counts: np.ndarray, split_point
             qualities = _quality_rows(dist_l, counts - dist_l)
             rows = np.arange(len(pts))
             ks = np.argmax(qualities, axis=1)  # first max: smaller pt
-            idx = np.asarray(pool.numeric_idx)[valid]
+            idx = pool.numeric_cols[valid]
             offered[idx] = True
             quality[idx] = qualities[rows, ks]
             point[idx] = pts[rows, ks]
@@ -114,8 +117,8 @@ def _best_per_attribute(pool: StatsPool, e: int, counts: np.ndarray, split_point
         best = np.maximum.reduceat(qualities, starts)
         # an attribute's first max (the lower code) is the first row at or
         # after its start that holds its own best
-        hits = np.flatnonzero(qualities == np.repeat(best, np.diff(starts, append=len(dist_l))))
-        idx = np.asarray(pool.cat_idx)
+        hits = np.flatnonzero(qualities == np.repeat(best, pool.cat_cards))
+        idx = pool.cat_cols
         offered[idx] = counts.any()  # each attribute's codes hold every sample
         quality[idx] = best
         point[idx] = hits[np.searchsorted(hits, starts)] - starts

@@ -184,15 +184,20 @@ class HoeffdingTree:
 
     def sort_to_leaf(self, s: Sample) -> LeafNode:
         """The leaf s routes to; raises ValueError for a label that is not
-        an int in 0..|C|-1, a NaN or infinite numeric value, or a
-        categorical code that is not an int in 0..cardinality-1, so
-        `step`, `train_one` and `predict` all do, before the tree changes."""
+        an int in 0..|C|-1, a NaN, infinite or float-overflowing numeric
+        value, or a categorical code that is not an int in
+        0..cardinality-1, so `step`, `train_one` and `predict` all do,
+        before the tree changes."""
         label = s.label
         if type(label) is not int or not 0 <= label < self.schema.class_count:
             raise ValueError(f"label {label!r} is not an int in "
                              f"0..{self.schema.class_count - 1}")
         values = s.values
-        if not math.isfinite(sum(values)):
+        try:
+            finite = math.isfinite(sum(values))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             self._reject_non_finite(s)
         for i, card in self._code_ranges:
             code = values[i]
@@ -246,12 +251,19 @@ class HoeffdingTree:
         return None
 
     def _reject_non_finite(self, s: Sample) -> None:
-        """Raise naming the first non-finite numeric value; a finite sample
-        whose sum overflowed passes."""
+        """Raise naming the first numeric value that is not finite or is an
+        int too large for a float; a finite sample whose sum overflowed
+        passes."""
         for i in self.stats.numeric_idx:
-            if not math.isfinite(s.values[i]):
-                raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
-                                 f"is not finite: {s.values[i]!r}")
+            v = s.values[i]
+            name = self.schema.attributes[i].name
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # its digits are not printed: there may be thousands
+                raise ValueError(f"attribute {i} ({name!r}) is an int too large "
+                                 f"for a float") from None
+            if not finite:
+                raise ValueError(f"attribute {i} ({name!r}) is not finite: {v!r}")
 
     def apply_split(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
         e = leaf.eid

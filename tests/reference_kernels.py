@@ -9,6 +9,8 @@ The trial ranks candidates by a quality term, scored for every candidate
 at once; `split_quality` scores one (left, right) partition, and
 `gini_reduction` gives its impurity drop by the direct weighted-gini form,
 so the tests can check the ranking identity between the two.
+`quality_rows` is the trial's earlier whole-table scorer, one side at a
+time, which the trial's stacked one must match bit for bit.
 """
 
 from typing import NamedTuple, Sequence
@@ -69,6 +71,16 @@ def split_quality(pair: ClassDistPair) -> float:
         n = side.sum()
         if n > 0:
             q += float((side ** 2).sum() / n)
+    return q
+
+
+def quality_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Quality of every candidate; class counts lie along the last axis."""
+    sl = left.sum(axis=-1)
+    sr = right.sum(axis=-1)
+    # an empty side adds nothing
+    q = np.divide((left ** 2).sum(axis=-1), sl, out=np.zeros_like(sl), where=sl > 0)
+    q += np.divide((right ** 2).sum(axis=-1), sr, out=np.zeros_like(sr), where=sr > 0)
     return q
 
 

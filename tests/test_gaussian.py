@@ -6,6 +6,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reference_kernels import welford
 from streamtree.gaussian import normal_cdf
@@ -122,3 +125,54 @@ def test_array_call_keeps_the_bits_of_math_erf():
             assert table[i, j] == normal_cdf(float(pts[i, 0]), float(means[0, j]),
                                              float(variances[0, j]))
     assert np.all(table[:, [0, 4]] == (pts >= means[:, [0, 4]]))
+
+
+def oracle_cdf(pt: float, mean: float, variance: float) -> float:
+    """The CDF one entry at a time, in the float order of the formula."""
+    if variance <= 0.0:
+        return 0.0 if pt < mean else 1.0
+    return 0.5 * (1.0 + math.erf(((pt - mean) / math.sqrt(variance)) / math.sqrt(2.0)))
+
+
+# bounded so pt - mean cannot overflow; subnormal variances are in range
+REAL = st.floats(-1e6, 1e6)
+FITTED = st.floats(0.0, 1e6, exclude_min=True)
+STEP = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 0.0))
+
+
+@st.composite
+def cdf_args(draw):
+    """pt, mean and variance of mutually broadcastable shapes, a shape ()
+    given as a Python float; the variances are all fitted, all steps or
+    mixed."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=6))
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))  # of fitted variances
+    if draw(st.booleans()):
+        pt, mean, variance = (draw(hnp.arrays(np.float64, shape, elements=elements))
+                              for shape, elements in zip(shapes.input_shapes, (
+                                  REAL, REAL, {0.0: STEP, 0.5: st.one_of(FITTED, STEP),
+                                               1.0: FITTED}[share])))
+    else:
+        # full-mantissa reals where z is O(1), which most often carry a
+        # one-ulp change in the argument to erf into the CDF's bits
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pt_shape, mean_shape, var_shape = shapes.input_shapes
+        pt = rng.normal(0.0, 2.0, pt_shape)
+        mean = rng.normal(0.0, 1.0, mean_shape)
+        variance = np.where(rng.random(var_shape) < share, rng.uniform(0.1, 4.0, var_shape), 0.0)
+    return tuple(a.item() if a.ndim == 0 else a for a in (pt, mean, variance))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cdf_args())
+def test_normal_cdf_matches_the_scalar_oracle(args):
+    got = normal_cdf(*args)
+    cols = np.broadcast_arrays(*args)
+    want = [oracle_cdf(*entry) for entry in zip(*(c.ravel().tolist() for c in cols))]
+    if cols[0].ndim == 0:
+        assert type(got) is float
+        assert got == want[0]
+    else:
+        assert got.dtype == np.float64 and got.shape == cols[0].shape
+        assert got.ravel().tolist() == want
+

@@ -5,14 +5,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from reference_kernels import ClassDistPair, gini_reduction, split_quality
+from reference_kernels import ClassDistPair, gini_reduction, quality_rows, split_quality
 from streamtree.leaf_stats import StatsPool
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
 from streamtree.split_eval import (
     REASON_GAIN,
     REASON_NONE,
     REASON_TIE,
+    _quality_rows,
     evaluate_split_trial,
     gini,
     hoeffding_bound,
@@ -111,6 +115,31 @@ class TestGiniReduction:
         by_quality = sorted(range(50), key=lambda i: split_quality(cands[i]))
         by_gain = sorted(range(50), key=lambda i: gini_reduction(total, cands[i]))
         assert by_quality == by_gain
+
+
+# whole counts, as a histogram holds, and fractions of them, as dist_L does
+COUNT = st.one_of(st.integers(0, 5000).map(float), st.floats(0.0, 1e6), st.just(0.0))
+
+
+@st.composite
+def partitions(draw):
+    """(left, right) count tables, classes last, up to 12 classes so the
+    class sums also run past numpy's 8-lane unrolled block; some rows
+    have an empty side or two."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12))
+    left, right = (draw(hnp.arrays(np.float64, shape, elements=COUNT)) for _ in range(2))
+    for side in (left, right):
+        side[draw(hnp.arrays(bool, shape[:-1]))] = 0.0
+    return left, right
+
+
+class TestQualityRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(partitions())
+    def test_matches_the_one_side_at_a_time_kernel(self, sides):
+        got, want = _quality_rows(*sides), quality_rows(*sides)
+        assert got.shape == want.shape == sides[0].shape[:-1]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestHoeffdingBound:

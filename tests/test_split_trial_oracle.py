@@ -9,9 +9,11 @@ for bit, so every comparison below is `==`, never approximate.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamtree import synth
 from streamtree.leaf_stats import StatsPool
 from streamtree.schema import NUMERIC, AttributeSpec, DatasetSchema, Sample
 from streamtree.split_eval import (
@@ -24,7 +26,7 @@ from streamtree.split_eval import (
     gini,
     hoeffding_bound,
 )
-from streamtree.tree import TreeConfig
+from streamtree.tree import LeafNode, TreeConfig, new_tree
 
 # ------------------------------------------------------------------ oracle
 
@@ -277,3 +279,39 @@ def test_many_attributes_and_classes_match_oracle():
             row[10:] = rng.random(44) < 0.05 * (y + 1)  # one-hot-like columns
             pool.observe(1, np.clip(row, -1, 1).tolist(), y)
         assert_same_decision(evaluate_split_trial(pool, 1, config), oracle_trial(pool, 1, config))
+
+
+def live_leaves(node):
+    if isinstance(node, LeafNode):
+        if node.eid is not None:
+            yield node
+    else:
+        yield from live_leaves(node.left)
+        yield from live_leaves(node.right)
+
+
+@pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+def test_gaussian_partition_table_matches_oracle_on_every_preset(preset):
+    """Every live leaf's table, checked after each of the first samples
+    (the root then has classes with 0 and 1 samples), on the first
+    samples after each split (fresh children) and every 100 samples."""
+    config = TreeConfig(method="gaussian")
+    tree = new_tree(synth.preset_schema(preset), config)
+    pool, due, small = tree.stats, 0, set()
+    for t, s in enumerate(synth.generate(preset, 4000, seed=3), 1):
+        if tree.train_one(s) is not None:
+            due = 5
+        if not (t <= 20 or t % 100 == 0 or due):
+            continue
+        due = max(due - 1, 0)
+        for leaf in live_leaves(tree.root):
+            e = leaf.eid
+            valid, pts = pool.split_points(e, config.split_points)
+            table = pool.numeric_partition_table(e, valid, pts)
+            for row, attr in enumerate(np.flatnonzero(valid).tolist()):
+                want = oracle_partition_table(pool, e, pool.numeric_idx[attr], pts[row])
+                assert np.array_equal(table[row], want), (t, e, attr)
+            if valid.any():
+                small |= set(pool.n_fj[e][pool.n_fj[e] <= 1].tolist())
+    assert tree.split_count > 0
+    assert small == {0, 1}

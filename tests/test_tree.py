@@ -769,6 +769,27 @@ class TestNonFiniteInput:
             tree.step(bad)
         assert tree.snapshot() == before
 
+    @pytest.mark.parametrize("values, attr", [([10**400, 0.5], 0), ([0.5, -10**5000], 1)],
+                             ids=["400-digits", "past-the-int-print-limit"])
+    def test_int_too_large_for_a_float_rejected(self, values, attr):
+        # it used to escape `sum` as OverflowError
+        tree = new_tree(synth.preset_schema("threshold"))
+        tree.train(synth.generate("threshold", 50, seed=1))
+        before = tree.snapshot()
+        bad = Sample(values, 0)
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError,
+                               match=f"attribute {attr} .* is an int too large for a float"):
+                call(bad)
+        assert tree.snapshot() == before
+        assert tree.train_count == 50
+
+    def test_large_ints_whose_sum_overflows_are_accepted(self):
+        tree = new_tree(TWO_NUM)
+        tree.train_one(Sample([10**308, 10**308], 1))
+        assert tree.train_count == 1
+        assert tree.predict(Sample([10**308, 10**308], 0)) == 1
+
 
 class TestCodeOutOfRange:
     """A categorical code outside its attribute's cardinality would count
