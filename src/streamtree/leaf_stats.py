@@ -25,15 +25,18 @@ attributes carry code-by-class count histograms.
 Each (element, class) pair owns one contiguous bank with the numeric
 attribute axis last: `trackers` is (capacity, |C|, Q, A) and `g_mean`,
 `g_vsum` are (capacity, |C|, A), so one sample updates one block of
-memory, `trackers[e, label]` against (Q, 1) step columns or a Welford
-update on (A,) rows. Snapshots keep the (A, |C|, Q) and (A, |C|) nesting
-per element under the same keys; `element_doc` and `load_element`
-transpose. `observe` takes the sample's numeric values from the
-`numeric` float64 row that `SampleStream` attaches to a parsed sample's
-values; a list without one, as a library caller builds it, becomes one
-array. It returns the element's updated sample count and the sample's
-class count as Python ints, so the tree reads neither back from the
-arrays.
+memory: its class's (Q, A) bank, stepped against whole (Q, A) up and
+down planes with nothing to broadcast, or a Welford update on (A,) rows.
+`observe` reaches an element's `min_a`/`max_a` rows and per-class banks
+through views built on the element's first sample, not per capacity;
+they stay valid because recycling and loading write in place. Snapshots
+keep the (A, |C|, Q) and (A, |C|) nesting per element under the same
+keys; `element_doc` and `load_element` transpose. `observe` takes the
+sample's numeric values from the `numeric` float64 row that
+`SampleStream` attaches to a parsed sample's values; a list without
+one, as a library caller builds it, becomes one array. It returns the
+element's updated sample count and the sample's class count as Python
+ints, so the tree reads neither back from the arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
@@ -166,25 +169,27 @@ class StatsPool:
         if method == METHOD_QUANTILE:
             self.targets = np.asarray(default_targets(config.quantile_count))
             Q = self.quantile_count = len(self.targets)
-            # up and down per unit lam, as (Q, 1) columns against a (Q, A) bank
+            # up and down per unit lam, one entry per tracker
             gains = (self.targets[:, None], 1.0 - self.targets[:, None])
             if backend == BACKEND_FLOAT:
                 key, dtype = "qvals", np.float64
-                self.step_up, self.step_down = (config.lam * g for g in gains)
+                up, down = (config.lam * g for g in gains)
             else:
                 key, dtype = "qraw", np.int64
                 lam_raw, _ = fx.float_to_raw_array([config.lam])
-                self.step_up, self.step_down = (
-                    fx.mul_raw_array(lam_raw, fx.float_to_raw_array(g)[0]) for g in gains)
-            self.trackers = np.zeros((capacity, C, Q, A), dtype=dtype)
-            self._neg_step_down = -self.step_down
-            self.element_arrays[key] = (self.trackers, 0)
-            doc_axes[key] = (2, 0, 1)  # (|C|, Q, A) -> (A, |C|, Q)
-            if backend == BACKEND_FIXED:
+                up, down = (fx.mul_raw_array(lam_raw, fx.float_to_raw_array(g)[0])
+                            for g in gains)
                 # no step toward a sample in [_safe_lo, _safe_hi] leaves the
                 # window; the bounds are raw words scaled to exact float64s
-                self._safe_hi = (fx.RAW_MAX - int(self.step_up.max())) / fx.SCALE
-                self._safe_lo = (fx.RAW_MIN + int(self.step_down.max())) / fx.SCALE
+                self._safe_hi = (fx.RAW_MAX - int(up.max())) / fx.SCALE
+                self._safe_lo = (fx.RAW_MIN + int(down.max())) / fx.SCALE
+            # whole (Q, A) planes, the shape of a bank, so that a step picks
+            # between them element by element with nothing to broadcast
+            self.step_up, self.step_down = (np.repeat(g, A, axis=1) for g in (up, down))
+            self._neg_step_down = -self.step_down
+            self.trackers = np.zeros((capacity, C, Q, A), dtype=dtype)
+            self.element_arrays[key] = (self.trackers, 0)
+            doc_axes[key] = (2, 0, 1)  # (|C|, Q, A) -> (A, |C|, Q)
         else:
             self.g_mean = np.zeros((capacity, C, A))
             self.g_vsum = np.zeros((capacity, C, A))
@@ -196,6 +201,10 @@ class StatsPool:
                           for key, (arr, _) in self.element_arrays.items() if key != "hists"]
 
         self.saturation_count = 0
+        # element -> views of its rows, built on its first sample (see
+        # `_element_views`); never per capacity, since `restore` builds a
+        # fresh pool for every snapshot
+        self._views: dict[int, tuple] = {}
 
     def reset_element(self, e: int) -> None:
         """Recycle element e: clear its statistics and count the recycling."""
@@ -226,6 +235,18 @@ class StatsPool:
             return fx.float_to_raw_array(x)
         return x, 0
 
+    def _element_views(self, e: int) -> tuple:
+        """Element e's (min_a row, max_a row, per-class banks) as views: a
+        bank is the class's (Q, A) trackers or its (g_mean, g_vsum) rows.
+        They stay valid while the arrays do, since `reset_element` and
+        `load_element` write in place."""
+        if self.method == METHOD_QUANTILE:
+            banks = list(self.trackers[e])
+        else:
+            banks = list(zip(self.g_mean[e], self.g_vsum[e]))
+        views = self._views[e] = (self.min_a[e], self.max_a[e], banks)
+        return views
+
     def observe(self, e: int, values: Sequence, label: int) -> tuple[int, int]:
         """Fold one sample into element e; returns (n_f, n_fj[label])."""
         n = self.n_f.item(e) + 1
@@ -237,9 +258,11 @@ class StatsPool:
             xv = getattr(values, "numeric", None)  # the parser's float64 row
             if xv is None:
                 xv = np.array([values[i] for i in self.numeric_idx], dtype=np.float64)
-            lo = self.min_a[e]
+            views = self._views.get(e)
+            if views is None:
+                views = self._element_views(e)
+            lo, hi, banks = views
             np.minimum(lo, xv, out=lo)
-            hi = self.max_a[e]
             np.maximum(hi, xv, out=hi)
             if self.method == METHOD_QUANTILE:
                 # inside the window no value saturates, on conversion or
@@ -255,21 +278,22 @@ class StatsPool:
                         xt, sat = fx.float_to_raw_array(xv)
                         self.saturation_count += sat
                         edge = True
-                v = self.trackers[e, label]
+                v = banks[label]
                 if cj == 1:
                     v[...] = xt
                 else:
                     v += np.where(v < xt, self.step_up, self._neg_step_down)
                     if edge:
                         self.saturation_count += fx.saturate_raw_array(v)
-            elif cj == 1:
-                self.g_mean[e, label] = xv
-                self.g_vsum[e, label] = 0.0
             else:
-                m = self.g_mean[e, label]  # a view: updated in place
-                d = xv - m
-                m += d / cj
-                self.g_vsum[e, label] += d * (xv - m)
+                m, vs = banks[label]
+                if cj == 1:
+                    m[...] = xv
+                    vs[...] = 0.0
+                else:
+                    d = xv - m
+                    m += d / cj
+                    vs += d * (xv - m)
 
         for i, start in zip(self.cat_idx, self.cat_start):
             self.hist[e, start + values[i], label] += 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -169,6 +170,7 @@ class HoeffdingTree:
         self.stats = StatsPool(schema, config, config.max_leaves)
         self.pool = ElementPool(self.stats)
         self._code_ranges = [(i, schema.attributes[i].cardinality) for i in self.stats.cat_idx]
+        self._attr_count = schema.attr_count
         self.root: Node = LeafNode(self.pool.alloc(), depth=0)
         self.leaf_count = 1
         # the deepest leaf's depth; not in snapshots, `restore` recomputes it
@@ -184,27 +186,33 @@ class HoeffdingTree:
 
     def sort_to_leaf(self, s: Sample) -> LeafNode:
         """The leaf s routes to; raises ValueError for a label that is not
-        an int in 0..|C|-1, a NaN, infinite or float-overflowing numeric
-        value, or a categorical code that is not an int in
+        an int in 0..|C|-1, a row whose length is not the schema's, a
+        numeric value that is a bool, not a real number, NaN, infinite or
+        float-overflowing, or a categorical code that is not an int in
         0..cardinality-1, so `step`, `train_one` and `predict` all do,
-        before the tree changes."""
+        before the tree changes. A parsed row's numeric values are not
+        checked again: the parser refuses NaN and clamps infinities."""
         label = s.label
         if type(label) is not int or not 0 <= label < self.schema.class_count:
             raise ValueError(f"label {label!r} is not an int in "
                              f"0..{self.schema.class_count - 1}")
         values = s.values
-        try:
-            finite = math.isfinite(sum(values))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            self._reject_non_finite(s)
+        if len(values) != self._attr_count:
+            raise ValueError(f"the sample's row length {len(values)} is not the "
+                             f"schema's {self._attr_count} attributes")
+        if getattr(values, "numeric", None) is None:  # not an intact parsed row
+            self._check_numeric(values)
         for i, card in self._code_ranges:
             code = values[i]
             if type(code) is not int or not 0 <= code < card:
-                what = "outside" if type(code) is int else "not an int in"
+                if type(code) is not int:
+                    what = f"code {code!r}, not an int in"
+                elif code.bit_length() < 64:
+                    what = f"code {code!r}, outside"
+                else:  # no digits: there may be thousands
+                    what = f"a {code.bit_length()}-bit code, outside"
                 raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
-                                 f"has code {code!r}, {what} 0..{card - 1}")
+                                 f"has {what} 0..{card - 1}")
         node = self.root
         while not isinstance(node, LeafNode):
             v = values[node.attribute]
@@ -250,20 +258,21 @@ class HoeffdingTree:
                 return self.apply_split(leaf, decision)
         return None
 
-    def _reject_non_finite(self, s: Sample) -> None:
-        """Raise naming the first numeric value that is not finite or is an
-        int too large for a float; a finite sample whose sum overflowed
-        passes."""
+    def _check_numeric(self, values) -> None:
+        """Raise naming the first numeric value that is a bool, not a real
+        number, not finite, or an int too large for a float."""
         for i in self.stats.numeric_idx:
-            v = s.values[i]
-            name = self.schema.attributes[i].name
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:  # its digits are not printed: there may be thousands
-                raise ValueError(f"attribute {i} ({name!r}) is an int too large "
-                                 f"for a float") from None
-            if not finite:
-                raise ValueError(f"attribute {i} ({name!r}) is not finite: {v!r}")
+            v = values[i]
+            if type(v) is not float and (type(v) is bool or not isinstance(v, Real)):
+                problem = f"is not a real number: {v!r}"
+            else:
+                try:
+                    if math.isfinite(v):
+                        continue
+                    problem = f"is not finite: {v!r}"
+                except OverflowError:  # its digits are not printed: there may be thousands
+                    problem = "is an int too large for a float"
+            raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) {problem}")
 
     def apply_split(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
         e = leaf.eid

@@ -7,12 +7,15 @@ self-contained. Test names carry the criterion number so the -v report
 reads as a checklist.
 """
 
+import itertools
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_kernels import ClassDistPair, gini_reduction, split_quality, track_quantiles
 from streamtree import cli
@@ -230,6 +233,33 @@ def test_c06_quality_vs_gini_rankings():
         assert split_quality(pair) == pytest.approx(quality[g, k], rel=1e-12)
         assert gini_reduction(parents[g].tolist(), pair) == pytest.approx(
             g_direct[g, k], abs=1e-12)
+
+
+@st.composite
+def partitions(draw):
+    """A parent's class counts and candidate left sides within them."""
+    classes = draw(st.integers(2, 7))
+    parent = draw(st.lists(st.integers(0, 10_000), min_size=classes, max_size=classes)
+                  .filter(any))
+    lefts = draw(st.lists(st.tuples(*(st.integers(0, c) for c in parent)),
+                          min_size=2, max_size=10))
+    return np.array(parent, dtype=np.float64), np.array(lefts, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(partitions())
+def test_c06_quality_ranks_as_gini_over_arbitrary_counts(case):
+    """Over arbitrary counts, a candidate with clearly higher quality has a
+    higher impurity drop: the drop is quality / n plus a constant."""
+    parent, left = case
+    right = parent - left
+    quality = _quality_rows(left, right)
+    drop = np.array([gini_reduction(parent, ClassDistPair(lo, hi, 0.0))
+                     for lo, hi in zip(left, right)])
+    n = parent.sum()
+    for i, j in itertools.permutations(range(len(left)), 2):
+        if quality[i] - quality[j] > 1e-9 * n:
+            assert drop[i] > drop[j]
 
 
 # ------------------------------------------------------------------- c07

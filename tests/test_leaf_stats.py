@@ -337,6 +337,50 @@ class TestRecycling:
         assert pool.element_doc(2) == make_pool(MIXED, **kw).element_doc(2)
 
 
+POOL_KINDS = [{}, {"backend": "fixed"}, {"method": "gaussian"}]
+
+
+def stream(seed, n=40):
+    """n MIXED samples of both classes, some near the Q2.30 edge."""
+    rng = np.random.default_rng(seed)
+    return [Sample([float(rng.choice([rng.uniform(-1, 1), rng.uniform(-2.5, 2.5)])),
+                    int(rng.integers(3))], int(rng.integers(2))) for _ in range(n)]
+
+
+def element_bytes(pool, e):
+    return {key: arr[e].tobytes() for key, (arr, _) in pool.element_arrays.items()}
+
+
+class TestElementViews:
+    """observe reaches an element's rows through views made on its first
+    sample; recycling and loading must write through them, not around."""
+
+    @pytest.mark.parametrize("kw", POOL_KINDS)
+    def test_observe_after_reset_matches_a_fresh_pool(self, kw):
+        pool, fresh = make_pool(MIXED, **kw), make_pool(MIXED, **kw)
+        for s in stream(1):
+            observe(pool, 2, s)
+        pool.reset_element(2)
+        for s in stream(2):
+            observe(pool, 2, s)
+            observe(fresh, 2, s)
+        assert element_bytes(pool, 2) == element_bytes(fresh, 2)
+
+    @pytest.mark.parametrize("kw", POOL_KINDS)
+    def test_observe_after_load_matches_a_fresh_pool(self, kw):
+        source, pool, fresh = (make_pool(MIXED, **kw) for _ in range(3))
+        for s in stream(3):
+            observe(source, 0, s)
+            observe(fresh, 1, s)
+        for s in stream(1):
+            observe(pool, 1, s)
+        pool.load_element(1, source.element_doc(0))
+        for s in stream(2):
+            observe(pool, 1, s)
+            observe(fresh, 1, s)
+        assert element_bytes(pool, 1) == element_bytes(fresh, 1)
+
+
 class TestFixedBackend:
     def test_rejects_gaussian(self):
         with pytest.raises(ValueError):

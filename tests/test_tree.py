@@ -3,13 +3,14 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from streamtree import fixed_point as fx
 from streamtree import synth
-from streamtree.schema import AttributeSpec, DatasetSchema, Sample
+from streamtree.schema import AttributeSpec, DatasetSchema, Sample, open_stream
 from streamtree.tree import (
     HoeffdingTree,
     InternalNode,
@@ -791,6 +792,63 @@ class TestNonFiniteInput:
         assert tree.predict(Sample([10**308, 10**308], 0)) == 1
 
 
+class TestHandBuiltValues:
+    """A hand-built row must have one value per attribute and a real
+    number, not a bool, in each numeric slot, before the tree changes."""
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.5], "row length 1 is not the schema's 2 attributes"),
+        ([0.5, 0.1, 0.2], "row length 3 is not the schema's 2 attributes"),
+        (["a", 0.1], "attribute 0 \\('a0'\\) is not a real number: 'a'"),
+        ([0.1, None], "attribute 1 \\('a1'\\) is not a real number: None"),
+        ([[0.1], 0.1], "attribute 0 \\('a0'\\) is not a real number: \\[0.1\\]"),
+        ([0.1, True], "attribute 1 \\('a1'\\) is not a real number: True"),
+        ([np.bool_(False), 0.1], "attribute 0 \\('a0'\\) is not a real number: "),
+    ], ids=["short", "long", "str", "none", "list", "bool", "numpy-bool"])
+    def test_rejected_and_tree_unchanged(self, values, message):
+        tree = new_tree(synth.preset_schema("threshold"))
+        tree.train(synth.generate("threshold", 50, seed=1))
+        before = tree.snapshot()
+        bad = Sample(values, 0)
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+        assert tree.snapshot() == before
+        assert tree.train_count == 50
+        tree.validate()
+
+    def test_other_real_numbers_learn_as_floats(self):
+        schema = synth.preset_schema("threshold")
+        reals, floats = new_tree(schema), new_tree(schema)
+        for k in range(60):
+            x = [np.float32(0.25 * (k % 3)), Fraction(k % 5, 4)]
+            reals.train_one(Sample(x, k % 2))
+            floats.train_one(Sample([float(v) for v in x], k % 2))
+        assert reals.snapshot() == floats.snapshot()
+
+
+class TestParsedRows:
+    """A parsed row is finite by construction and skips the per-value
+    checks; once its list changes it is checked like a hand-built row."""
+
+    def test_changed_row_holding_nan_rejected_and_tree_unchanged(self, tmp_path):
+        path = str(tmp_path / "s.csv")
+        schema = synth.write_csv(path, "threshold", 300, seed=1)
+        samples = list(open_stream(path, schema))
+        tree = new_tree(schema, TreeConfig(n_min=50))
+        tree.train(samples[:200])
+        before = tree.snapshot()
+        bad = samples[200]
+        bad.values[1] = float("nan")
+        assert bad.values.numeric is None
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError, match="attribute 1 .* is not finite: nan"):
+                call(bad)
+        assert tree.snapshot() == before
+        tree.train(samples[201:])
+        assert tree.train_count == 299
+
+
 class TestCodeOutOfRange:
     """A categorical code outside its attribute's cardinality would count
     in a neighbouring attribute's rows of `hist`; it is rejected first."""
@@ -802,6 +860,9 @@ class TestCodeOutOfRange:
         ([2, 0], "attribute 0 \\('c0'\\) has code 2, outside 0..1"),
         ([0, -1], "attribute 1 \\('c1'\\) has code -1, outside 0..2"),
         ([1.0, 0], "attribute 0 \\('c0'\\) has code 1.0, not an int in 0..1"),
+        # its repr would raise Python's own int-printing ValueError
+        ([0, 10**5000], "attribute 1 \\('c1'\\) has a 16610-bit code, outside 0..2"),
+        ([-(2**64), 0], "attribute 0 \\('c0'\\) has a 65-bit code, outside 0..1"),
     ])
     def test_rejected_and_tree_unchanged(self, values, message):
         tree = new_tree(self.SCHEMA)
