@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import synth
 from .harness import (
@@ -31,6 +33,10 @@ from .harness import (
     sweep_quantiles,
 )
 from .schema import (
+    CATEGORICAL,
+    NUMERIC,
+    AttributeSpec,
+    DatasetSchema,
     SchemaError,
     StreamFormatError,
     load_schema,
@@ -92,16 +98,17 @@ def load_inputs(args: argparse.Namespace):
     return args.data, schema
 
 
-def emit(doc: dict, text: str, args: argparse.Namespace) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(text)
-    out = getattr(args, "out", None)
+def emit(doc: dict, text: str, args: argparse.Namespace, out: Optional[str] = None) -> None:
+    """Print doc as one JSON line with --json, else text; also write doc to out."""
+    print(json.dumps(doc, sort_keys=True) if args.json else text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_text(out, json.dumps(doc, sort_keys=True, indent=2))
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text and a final newline to path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def metrics_text(m: Metrics, title: str) -> str:
@@ -126,10 +133,7 @@ def metrics_text(m: Metrics, title: str) -> str:
 def cmd_eval(args: argparse.Namespace) -> int:
     data, schema = load_inputs(args)
     config = config_from_args(args)
-    try:
-        tree, m = run_once(data, schema, config)
-    except StreamFormatError as e:
-        raise CommandError(f"{args.data}: {e}", EXIT_FORMAT) from None
+    tree, m = run_once(data, schema, config)
     doc = {"command": "eval", "data": args.data, "method": config.method,
            "quantiles": config.quantile_count,
            "backend": config.numeric_backend,
@@ -137,7 +141,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.snapshot:
         with open(args.snapshot, "wb") as fh:
             fh.write(tree.snapshot())
-    emit(doc, metrics_text(m, f"eval {args.data} [{config.method}]"), args)
+    emit(doc, metrics_text(m, f"eval {args.data} [{config.method}]"), args, args.out)
     return 0
 
 
@@ -150,26 +154,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not q_list:
         raise CommandError("quantile list is empty")
     config = config_from_args(args, quantile_count=q_list[0])
-    try:
-        rows = sweep_quantiles(data, schema, q_list, config)
-    except StreamFormatError as e:
-        raise CommandError(f"{args.data}: {e}", EXIT_FORMAT) from None
+    rows = sweep_quantiles(data, schema, q_list, config)
     doc = {"command": "sweep", "data": args.data,
            "rows": [{"quantiles": q, "metrics": m.to_dict()} for q, m in rows]}
     lines = [f"sweep {args.data}", "  |Q|  accuracy  leaves  depth"]
     for q, m in rows:
         lines.append(f"  {q:>3}  {m.accuracy:>8.4f}  {m.leaf_count:>6}  {m.depth:>5}")
-    emit(doc, "\n".join(lines), args)
+    emit(doc, "\n".join(lines), args, args.out)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     data, schema = load_inputs(args)
     config = config_from_args(args)
-    try:
-        out = compare_methods(data, schema, config)
-    except StreamFormatError as e:
-        raise CommandError(f"{args.data}: {e}", EXIT_FORMAT) from None
+    out = compare_methods(data, schema, config)
     gap = out["quantile"].accuracy - out["gaussian"].accuracy
     doc = {"command": "compare", "data": args.data,
            "quantile": out["quantile"].to_dict(),
@@ -180,7 +178,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         metrics_text(out["gaussian"], f"compare {args.data} [gaussian]"),
         f"accuracy gap (quantile - gaussian): {gap:+.4f}",
     ])
-    emit(doc, text, args)
+    emit(doc, text, args, args.out)
     return 0
 
 
@@ -197,8 +195,8 @@ def cmd_cdf_export(args: argparse.Namespace) -> int:
             quantile_count=config.quantile_count, lam=config.lam,
             out_path=args.out,
         )
-    except StreamFormatError as e:
-        raise CommandError(f"{args.data}: {e}", EXIT_FORMAT) from None
+    except StreamFormatError:
+        raise  # a ValueError too; run() names the file
     except ValueError as e:
         raise CommandError(str(e), EXIT_FORMAT) from None
     errs = comp.sup_errors()
@@ -209,10 +207,7 @@ def cmd_cdf_export(args: argparse.Namespace) -> int:
             f"step {errs['quantile_step']:.4f}  gaussian {errs['gaussian']:.4f}")
     if args.out:
         text += f"\n  series written to {args.out}"
-    if getattr(args, "json", False):
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(text)
+    emit(doc, text, args)  # --out is the series, not the report
     return 0
 
 
@@ -238,133 +233,107 @@ def _parse_column_set(text: Optional[str]) -> set[int]:
     return cols
 
 
+def label_column(text: str):
+    """The --label-column value: "last" or a column index; argparse names
+    this function in the usage error for any other text."""
+    return text if text == "last" else int(text)
+
+
+def _csv_rows(args: argparse.Namespace) -> Iterator:
+    """Yield the column names of args.data, its header or col0, col1, ...,
+    then (row_no, fields) for each data row. Rows are numbered as CSV
+    records, the header being row 1, so a quoted line break counts once.
+    The header and every row must have as many fields as the first row."""
+    with open(args.data, "r", encoding="utf-8", newline="") as fh:
+        records = enumerate(csv.reader(fh, delimiter=args.delimiter), 1)
+        header = next(records, (1, None))[1] if args.has_header else None
+        row_no, first = next(records, (0, None))
+        if first is None:
+            raise CommandError("no data rows", EXIT_FORMAT)
+        ncols = len(first)
+        if args.has_header and len(header) != ncols:
+            raise CommandError(f"the header has {len(header)} fields, row {row_no} has "
+                               f"{ncols}", EXIT_FORMAT)
+        yield header if args.has_header else [f"col{c}" for c in range(ncols)]
+        for row_no, row in itertools.chain([(row_no, first)], records):
+            if len(row) != ncols:
+                raise CommandError(f"row {row_no}: expected {ncols} fields, got {len(row)}",
+                                   EXIT_FORMAT)
+            yield row_no, row
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     if not os.path.exists(args.data):
         raise CommandError(f"data file not found: {args.data}", EXIT_MISSING_FILE)
     forced_cat = _parse_column_set(args.categorical)
     dropped = _parse_column_set(args.drop)
+    rows = _csv_rows(args)
+    names = next(rows)
+    ncols = len(names)
+    label_at = ncols - 1 if args.label_column == "last" else args.label_column
+    if not 0 <= label_at < ncols:
+        raise CommandError(f"label column {label_at} outside 0..{ncols - 1}")
+    if label_at in dropped:
+        raise CommandError("cannot drop the label column")
+    cols = [c for c in range(ncols) if c not in dropped and c != label_at]
 
-    # pass 1: column typing, value maps, ranges
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=args.delimiter)
-        header = None
-        if args.has_header:
-            header = next(reader, None)
-            if header is None:
-                raise CommandError("file is empty", EXIT_FORMAT)
-        first = next(reader, None)
-        if first is None:
-            raise CommandError("no data rows", EXIT_FORMAT)
-        ncols = len(first)
-        label_at = ncols - 1 if args.label_column == "last" else int(args.label_column)
-        if not 0 <= label_at < ncols:
-            raise CommandError(f"label column {label_at} outside 0..{ncols - 1}")
-        if label_at in dropped:
-            raise CommandError("cannot drop the label column")
-        is_numeric = [True] * ncols
-        mins = [float("inf")] * ncols
-        maxs = [float("-inf")] * ncols
-        cat_values: list[set] = [set() for _ in range(ncols)]
-        labels: set = set()
-
-        def eat(row, row_no):
-            if len(row) != ncols:
-                raise CommandError(
-                    f"row {row_no}: expected {ncols} fields, got {len(row)}",
-                    EXIT_FORMAT,
-                )
-            for c, field in enumerate(row):
-                if c in dropped:
-                    continue
-                if c == label_at:
-                    labels.add(field)
-                    continue
-                if c in forced_cat:
-                    is_numeric[c] = False
-                if is_numeric[c]:
-                    try:
-                        v = float(field)
-                        if v < mins[c]:
-                            mins[c] = v
-                        if v > maxs[c]:
-                            maxs[c] = v
-                    except ValueError:
-                        is_numeric[c] = False
-                if not is_numeric[c]:
-                    cat_values[c].add(field)
-
-        row_no = 1 if args.has_header else 0
-        row_no += 1
-        eat(first, row_no)
-        for row in reader:
-            row_no += 1
-            eat(row, row_no)
-
-    # a column that flipped to categorical mid-pass needs its early numeric
-    # values too; simplest correct fix is a re-scan for those columns
-    flipped = [c for c in range(ncols)
-               if not is_numeric[c] and c not in dropped and c != label_at]
-    if flipped:
-        with open(args.data, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter=args.delimiter)
-            if args.has_header:
-                next(reader, None)
-            for row in reader:
-                for c in flipped:
-                    cat_values[c].add(row[c])
-
+    # pass 1: labels, and the range of each column while every value is a number
+    ranges = {c: (math.inf, -math.inf) for c in cols if c not in forced_cat}
+    nonfinite = {}  # column -> its first (row_no, field) that float() reads as NaN or inf
+    labels = set()
+    for row_no, row in rows:
+        labels.add(row[label_at])
+        for c, (lo, hi) in list(ranges.items()):
+            try:
+                v = float(row[c])
+            except ValueError:
+                del ranges[c]  # a string: the column is categorical
+                continue
+            if not math.isfinite(v):
+                nonfinite.setdefault(c, (row_no, row[c]))
+            ranges[c] = (min(lo, v), max(hi, v))
+    bad = min(((r, c, f) for c, (r, f) in nonfinite.items() if c in ranges), default=None)
+    if bad:
+        raise CommandError("row {}, column {}: {!r} is not a finite number".format(*bad),
+                           EXIT_FORMAT)
     label_map = {v: k for k, v in enumerate(sorted(labels))}
     if len(label_map) < 2:
         raise CommandError("need at least 2 distinct labels", EXIT_FORMAT)
+
+    # pass 2, if a column is categorical: its values, those read as numbers included
+    cat_values = {c: set() for c in cols if c not in ranges}
+    if cat_values:
+        for _, row in itertools.islice(_csv_rows(args), 1, None):
+            for c, values in cat_values.items():
+                values.add(row[c])
     cat_maps = {}
-    attrs = []
-    names = header if header else [f"col{c}" for c in range(ncols)]
-    for c in range(ncols):
-        if c in dropped or c == label_at:
-            continue
-        name = names[c]
-        if is_numeric[c]:
-            lo, hi = mins[c], maxs[c]
-            if not lo < hi:
-                lo, hi = lo - 0.5, hi + 0.5  # constant column still needs a range
-            attrs.append({"name": name, "kind": "numeric", "min": lo, "max": hi})
-        else:
-            values = sorted(cat_values[c])
-            if len(values) < 2:
-                values = values + ["__other__"]
-            cat_maps[c] = {v: k for k, v in enumerate(values)}
-            attrs.append({"name": name, "kind": "categorical",
-                          "cardinality": len(values)})
+    for c, values in cat_values.items():
+        values = sorted(values)
+        if len(values) < 2:
+            values.append("__other__")
+        cat_maps[c] = {v: k for k, v in enumerate(values)}
+    for c, (lo, hi) in ranges.items():
+        if not lo < hi:
+            ranges[c] = (lo - 0.5, hi + 0.5)  # a constant column still needs a range
+    try:
+        schema = DatasetSchema(tuple(
+            AttributeSpec(names[c], CATEGORICAL, cardinality=len(cat_maps[c])) if c in cat_maps
+            else AttributeSpec(names[c], NUMERIC, *ranges[c]) for c in cols), len(label_map))
+    except SchemaError as e:
+        raise CommandError(f"cannot encode {args.data}: {e}", EXIT_FORMAT) from None
 
-    # pass 2: write coded rows, attributes in order, label last
-    with open(args.data, "r", encoding="utf-8", newline="") as fh, \
-         open(args.out, "w", encoding="utf-8", newline="") as out_fh:
-        reader = csv.reader(fh, delimiter=args.delimiter)
+    # last pass: write coded rows, attributes in order, label last
+    with open(args.out, "w", encoding="utf-8", newline="") as out_fh:
         writer = csv.writer(out_fh)
-        if args.has_header:
-            next(reader, None)
-        for row in reader:
-            coded = []
-            for c in range(ncols):
-                if c in dropped or c == label_at:
-                    continue
-                coded.append(str(cat_maps[c][row[c]]) if c in cat_maps else row[c])
-            coded.append(str(label_map[row[label_at]]))
-            writer.writerow(coded)
-
-    schema_doc = {"attributes": attrs, "classes": len(label_map),
-                  "label_column": "last", "has_header": False}
-    with open(args.schema_out, "w", encoding="utf-8") as fh:
-        json.dump(schema_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for _, row in itertools.islice(_csv_rows(args), 1, None):
+            writer.writerow([cat_maps[c][row[c]] if c in cat_maps else row[c] for c in cols]
+                            + [label_map[row[label_at]]])
+    write_text(args.schema_out, schema_to_json(schema))
     if args.mapping_out:
-        mapping = {"labels": label_map,
-                   "columns": {str(c): m for c, m in cat_maps.items()}}
-        with open(args.mapping_out, "w", encoding="utf-8") as fh:
-            json.dump(mapping, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        mapping = {"labels": label_map, "columns": {str(c): m for c, m in cat_maps.items()}}
+        write_text(args.mapping_out, json.dumps(mapping, indent=2, sort_keys=True))
     print(f"encoded {args.data} -> {args.out} "
-          f"({len(attrs)} attributes, {len(label_map)} classes)")
+          f"({schema.attr_count} attributes, {schema.class_count} classes)")
     print(f"schema written to {args.schema_out}")
     return 0
 
@@ -374,12 +343,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         schema = synth.write_csv(args.out, args.preset, args.rows, seed=args.seed)
     except KeyError as e:
         raise CommandError(str(e.args[0])) from None
-    if args.schema_out:
-        with open(args.schema_out, "w", encoding="utf-8") as fh:
-            fh.write(schema_to_json(schema))
-            fh.write("\n")
     print(f"wrote {args.rows} rows of {args.preset!r} to {args.out}")
     if args.schema_out:
+        write_text(args.schema_out, schema_to_json(schema))
         print(f"schema written to {args.schema_out}")
     return 0
 
@@ -439,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping-out", help="write value->code maps here")
     p.add_argument("--categorical", help="force columns categorical: 2,10-53")
     p.add_argument("--drop", help="drop columns: 0,3")
-    p.add_argument("--label-column", default="last")
+    p.add_argument("--label-column", type=label_column, default="last")
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--delimiter", default=",")
     p.set_defaults(handler=cmd_encode)
@@ -460,6 +426,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except StreamFormatError as e:  # a data row the schema refuses
+        print(f"error: {args.data}: {e}", file=sys.stderr)
+        return EXIT_FORMAT
     except CommandError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.status

@@ -187,6 +187,8 @@ def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
     a one-element Gaussian pool over a one-attribute schema, every sample
     under class 0.
     """
+    if not 0 <= attr < schema.attr_count:  # a negative index would pick another attribute
+        raise ValueError(f"attribute index {attr} outside 0..{schema.attr_count - 1}")
     spec = schema.attributes[attr]
     if spec.kind != NUMERIC:
         raise ValueError(f"attribute {attr} ({spec.name!r}) is not numeric")

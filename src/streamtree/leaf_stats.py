@@ -111,7 +111,7 @@ def int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _load_slot(slot: np.ndarray, vals, key: str) -> None:
+def load_slot(slot: np.ndarray, vals, key: str) -> None:
     """Write JSON `vals` into `slot`, or raise ValueError naming `key`."""
     v = (int_array(vals, key) if slot.dtype.kind == "i"
          else np.asarray(vals, dtype=np.float64))
@@ -225,9 +225,9 @@ class StatsPool:
         ValueError for a value whose type or shape does not fit its slot."""
         for key, arr, axes in self._doc_keys:
             # a view in the snapshot's nesting, 0-d for n_f
-            _load_slot(arr[e, ...] if axes is None else arr[e].transpose(axes), doc[key], key)
+            load_slot(arr[e, ...] if axes is None else arr[e].transpose(axes), doc[key], key)
         for rows, table in zip(self._cat_rows, doc["hists"], strict=True):
-            _load_slot(self.hist[e, rows], table, "hists")
+            load_slot(self.hist[e, rows], table, "hists")
 
     def _to_tracker_units(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Reals in tracker units, with how many saturated on the way."""

@@ -38,6 +38,7 @@ from .leaf_stats import (
     METHOD_QUANTILE,
     StatsPool,
     int_array,
+    load_slot,
 )
 from .schema import CATEGORICAL, DatasetSchema, Sample, parse_schema, schema_to_json
 
@@ -64,8 +65,14 @@ class TreeConfig:
     r_range: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_min", "split_points", "quantile_count", "max_leaves", "max_depth"):
+            if type(getattr(self, name)) is not int:  # a bool or a float is not a count
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         for name in ("delta", "tau", "lam", "r_range"):
-            if not math.isfinite(getattr(self, name)):
+            v = getattr(self, name)
+            if type(v) is bool or not isinstance(v, Real):
+                raise ValueError(f"{name} must be a real number, not {v!r}")
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
@@ -347,10 +354,10 @@ class HoeffdingTree:
         }
 
     def validate(self) -> None:
-        """Check the tree's invariants (the caps, the counters, the pool,
-        the class counts, the live elements' statistics; README "Library
-        use" lists them) in one walk, and raise ValueError naming the first
-        one broken."""
+        """Check the tree's invariants (the caps, the internal nodes' tests,
+        the counters, the pool, the class counts, the live elements'
+        statistics; README "Library use" lists them) in one walk, and
+        raise ValueError naming the first one broken."""
         cfg = self.config
         stats = self.stats
         C = stats.class_count
@@ -367,6 +374,7 @@ class HoeffdingTree:
                 if depth >= cfg.max_depth:
                     raise ValueError(
                         f"internal node at depth {depth}, max_depth is {cfg.max_depth}")
+                self._check_test(node, depth)
                 if node.left.parent is not node or node.right.parent is not node:
                     raise ValueError(f"a child of the node at depth {depth} has another parent")
                 stack += [(node.right, depth + 1), (node.left, depth + 1)]
@@ -454,6 +462,29 @@ class HoeffdingTree:
             if not all(np.isfinite(a[idx]).all() for a in moments):
                 raise ValueError("an element's tracker or gaussian statistics are not finite")
 
+    def _check_test(self, node: InternalNode, depth: int) -> None:
+        """Raise ValueError unless node tests an attribute of the schema, is
+        flagged categorical exactly when that attribute is, and compares
+        against an int code in range (categorical) or a finite float or int
+        (numeric)."""
+        a, t = node.attribute, node.threshold
+        if type(a) is not int or not 0 <= a < self._attr_count:
+            problem = f"tests attribute {a!r}, not an int in 0..{self._attr_count - 1}"
+        else:
+            spec = self.schema.attributes[a]
+            if node.is_categorical is not (spec.kind == CATEGORICAL):
+                problem = (f"says categorical is {node.is_categorical!r}, "
+                           f"attribute {a} is {spec.kind}")
+            elif node.is_categorical:
+                if type(t) is int and 0 <= t < spec.cardinality:
+                    return
+                problem = f"tests code {t!r}, not an int in 0..{spec.cardinality - 1}"
+            elif type(t) in (float, int) and math.isfinite(t):  # a bool's type is not int
+                return
+            else:
+                problem = f"tests threshold {t!r}, not a finite float or int"
+        raise ValueError(f"internal node at depth {depth} {problem}")
+
     # ------------------------------------------------------------ snapshot
 
     def snapshot(self) -> bytes:
@@ -521,7 +552,7 @@ def restore(payload: bytes) -> HoeffdingTree:
         config = TreeConfig(**doc["config"])
         tree = HoeffdingTree(schema, config)
         stats = tree.stats
-        stats.generation[:] = int_array(doc["generations"], "generations")
+        load_slot(stats.generation, doc["generations"], "generations")
         tree.pool.free_list = list(doc["free_list"])
         tree.root = _node_from_doc(doc["tree"], tree)
         counters = doc["counters"]

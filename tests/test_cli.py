@@ -361,6 +361,78 @@ def test_encoded_output_trains(tmp_path, capsys):
     assert doc["metrics"]["accuracy"] > 0.8
 
 
+def run_encode(tmp_path, text, *flags):
+    """encode text to tmp_path/coded.csv and s.json; its exit status."""
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    return cli.run(["encode", "--data", str(raw), "--out", str(tmp_path / "coded.csv"),
+                    "--schema-out", str(tmp_path / "s.json"), *flags])
+
+
+@pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_encode_refuses_a_non_finite_number(tmp_path, capsys, field):
+    rc = run_encode(tmp_path, f"1.0,0.5,yes\n2.0,0.7,no\n3.0,{field},yes\n")
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"row 3, column 1: '{field}' is not a finite number" in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_encode_nan_in_a_column_that_turns_categorical(tmp_path, capsys):
+    # "nan" is one more category once a later value is a string
+    rc = run_encode(tmp_path, "nan,yes\nlow,no\n2,yes\n")
+    capsys.readouterr()
+    assert rc == 0
+    assert load_schema(str(tmp_path / "s.json")).attributes[0].cardinality == 3
+
+
+@pytest.mark.parametrize("header", ["a", "a,b,c,d", ""])
+def test_encode_header_length_differs_from_rows(tmp_path, capsys, header):
+    rc = run_encode(tmp_path, f"{header}\n1,2,x\n3,4,y\n", "--has-header")
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "row 2 has 3" in err
+
+
+def test_encode_numbers_rows_as_records(tmp_path, capsys):
+    # a quoted line break stays inside its record, so the short row is row 3
+    rc = run_encode(tmp_path, 'h,note,y\n1,"two\nlines",yes\n2,no\n', "--has-header")
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "row 3: expected 3 fields, got 2" in err
+
+
+@pytest.mark.parametrize("text, flags, match", [
+    ("-1e308,a\n1e308,b\n", [], "must be finite"),
+    ("1,a\n2,b\n", ["--drop", "0"], "at least one attribute"),
+], ids=["span-overflows", "no-attributes"])
+def test_encode_refuses_what_its_schema_cannot_hold(tmp_path, capsys, text, flags, match):
+    rc = run_encode(tmp_path, text, *flags)
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert match in err
+
+
+@pytest.mark.parametrize("label", ["foo", "1.5", ""])
+def test_encode_bad_label_column_is_usage_error(tmp_path, capsys, label):
+    with pytest.raises(SystemExit) as exc:
+        run_encode(tmp_path, "1,a\n2,b\n", "--label-column", label)
+    assert exc.value.code == 2
+    assert "--label-column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval"], ["sweep"], ["compare"],
+                                     ["cdf-export", "--attr", "0"]])
+def test_malformed_row_is_status_4_for_every_command(stream, tmp_path, capsys, command):
+    _, schema = stream
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.5,0.5,0\n0.5,oops,1\n")
+    rc = cli.run([*command, "--data", str(bad), "--schema", schema])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith(f"error: {bad}: row 2")
+
+
 def test_unknown_preset_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["synth", "--preset", "nope", "--out", str(tmp_path / "x")])

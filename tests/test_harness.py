@@ -198,6 +198,12 @@ class TestCdfExport:
         with pytest.raises(ValueError, match="not numeric"):
             export_cdf_comparison(lambda: iter(()), schema, 0, 100)
 
+    @pytest.mark.parametrize("attr", [-1, 1, 99])
+    def test_attr_outside_the_schema_rejected(self, attr):
+        # -1 would silently pick the last attribute
+        with pytest.raises(ValueError, match=f"attribute index {attr} outside 0..0"):
+            export_cdf_comparison(factory(self.uni), ONE_NUM, attr, 100)
+
     def test_csv_emission(self, tmp_path):
         out = str(tmp_path / "cdf.csv")
         comp = export_cdf_comparison(

@@ -62,6 +62,21 @@ class TestNewTree:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 TreeConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_min", 2.5), ("n_min", True), ("split_points", 2.5), ("max_depth", 2.5),
+        ("max_leaves", 10.5), ("quantile_count", 8.0), ("max_leaves", np.int64(16)),
+        ("max_depth", "3"),
+    ])
+    def test_count_not_an_int_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            TreeConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["delta", "tau", "lam", "r_range"])
+    def test_real_that_is_a_bool_or_not_a_number_rejected(self, field):
+        for bad in (True, False, "0.5", None):
+            with pytest.raises(ValueError, match=f"{field} must be a real number"):
+                TreeConfig(**{field: bad})
+
 
 class TestValidate:
     def test_fresh_and_trained_trees_pass(self):
@@ -392,6 +407,12 @@ def leaf_docs(node):
     return [node]
 
 
+def internal_docs(node):
+    if node["kind"] == "internal":
+        return [node, *internal_docs(node["left"]), *internal_docs(node["right"])]
+    return []
+
+
 class TestSnapshotValidation:
     """restore rejects snapshots whose pool or counters contradict the tree."""
 
@@ -712,6 +733,53 @@ class TestSnapshotValidation:
         doc = self.doc()
         self.element(doc)["n_fj"][0] = 2 ** 70
         self.rejects(doc, "corrupt")
+
+    def split_on(self, doc, categorical):
+        """The first internal node whose test is (not) categorical."""
+        return next(n for n in internal_docs(doc["tree"]) if n["categorical"] is categorical)
+
+    @pytest.mark.parametrize("bad", [99, 2, -1, "x", True, 0.0, None])
+    def test_internal_attribute_not_in_the_schema(self, bad):
+        doc = self.doc()
+        doc["tree"]["attribute"] = bad
+        self.rejects(doc, "tests attribute .*, not an int in 0..1")
+
+    @pytest.mark.parametrize("bad", ["yes", True, 0, None])
+    def test_numeric_split_not_flagged_numeric(self, bad):
+        doc = self.doc()
+        doc["tree"]["categorical"] = bad
+        self.rejects(doc, "says categorical is .*, attribute 0 is numeric")
+
+    @pytest.mark.parametrize("bad", ["abc", None, True, math.nan, math.inf, [0.5]])
+    def test_numeric_threshold_not_a_finite_number(self, bad):
+        doc = self.doc()
+        doc["tree"]["threshold"] = bad
+        self.rejects(doc, "tests threshold .*, not a finite float or int")
+
+    def test_categorical_split_flagged_numeric(self):
+        doc = self.fixed_categorical_doc()
+        self.split_on(doc, True)["categorical"] = False
+        self.rejects(doc, "says categorical is False, attribute .* is categorical")
+
+    @pytest.mark.parametrize("bad", [-1, 99, 0.0, True, "0", None])
+    def test_categorical_code_not_in_range(self, bad):
+        doc = self.fixed_categorical_doc()
+        self.split_on(doc, True)["threshold"] = bad
+        self.rejects(doc, "tests code .*, not an int in")
+
+    @pytest.mark.parametrize("bad", [[7], 3, [], [[0] * 16]])
+    def test_generations_of_the_wrong_shape(self, bad):
+        # numpy would broadcast [7], 3 and [[0] * 16] over every element
+        doc = self.doc()
+        doc["generations"] = bad
+        self.rejects(doc, "generations has shape")
+
+    @pytest.mark.parametrize("field, bad", [("n_min", 2.5), ("max_depth", True),
+                                            ("lam", True)])
+    def test_config_field_of_the_wrong_type(self, field, bad):
+        doc = self.doc()
+        doc["config"][field] = bad
+        self.rejects(doc, f"{field} must be")
 
     def test_deeply_nested_payload(self):
         doc = json.loads(new_tree(TWO_NUM).snapshot())
