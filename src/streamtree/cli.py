@@ -265,6 +265,9 @@ def _csv_rows(args: argparse.Namespace) -> Iterator:
 def cmd_encode(args: argparse.Namespace) -> int:
     if not os.path.exists(args.data):
         raise CommandError(f"data file not found: {args.data}", EXIT_MISSING_FILE)
+    for path in (args.out, args.schema_out, args.mapping_out):  # before any is opened
+        if path and os.path.exists(path) and os.path.samefile(path, args.data):
+            raise CommandError(f"output {path} is the input file {args.data}")
     forced_cat = _parse_column_set(args.categorical)
     dropped = _parse_column_set(args.drop)
     rows = _csv_rows(args)

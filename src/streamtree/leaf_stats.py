@@ -1,13 +1,13 @@
 """Per-leaf training statistics stored in flat shared pools.
 
 All statistics for every leaf live in preallocated arrays indexed by
-element first: element ids are dense integers handed out by the tree's
-pool, so memory is bounded by capacity regardless of how the tree grows,
-and recycling an element is a slice reset. A leaf holds
-its element's id and nothing else: the tree reads and writes the arrays
-directly, with no per-access guard. A `generation` counter per element
-counts its recyclings; snapshots carry it. A pool is built from a
-validated `TreeConfig`, which alone checks the settings, and a capacity.
+element first, so memory is bounded by capacity however the tree grows.
+The pool owns an element's lifecycle: `alloc` pops a dense integer id off
+a LIFO free list; `release` resets the element's slices, counts the
+recycling in `generation` and pushes the id back. A leaf holds its id and
+nothing else: the tree reads the arrays directly, with no per-access
+guard. The pool checks its live elements (`validate`) and writes and reads
+its snapshot section; it is built from a validated `TreeConfig`.
 
 Numeric attributes carry either a bank of quantile trackers per class or
 an incremental Gaussian per class, never both. Each tracker follows the
@@ -201,16 +201,87 @@ class StatsPool:
                           for key, (arr, _) in self.element_arrays.items() if key != "hists"]
 
         self.saturation_count = 0
-        # element -> views of its rows, built on its first sample (see
-        # `_element_views`); never per capacity, since `restore` builds a
-        # fresh pool for every snapshot
+        # element -> views of its rows (`_element_views`), built on its first
+        # sample: never per capacity, as `restore` builds a pool per snapshot
         self._views: dict[int, tuple] = {}
+        self.free_list = list(range(capacity - 1, -1, -1))  # pops 0, 1, 2, ...
 
-    def reset_element(self, e: int) -> None:
-        """Recycle element e: clear its statistics and count the recycling."""
+    @property
+    def allocated_count(self) -> int:
+        return self.capacity - len(self.free_list)
+
+    def alloc(self) -> int:
+        if not self.free_list:
+            raise RuntimeError("element pool exhausted")
+        return self.free_list.pop()
+
+    def release(self, e: int) -> None:
+        """Recycle element e: reset its statistics in place, count it, free its id."""
         self.generation[e] += 1
         for arr, empty in self.element_arrays.values():
             arr[e] = empty
+        self.free_list.append(e)
+
+    def live_elements(self) -> list[int]:
+        return sorted(set(range(self.capacity)) - set(self.free_list))
+
+    def validate(self, live: list) -> None:
+        """Check the live leaves' ids, the free list and the live elements'
+        statistics (README "Library use"); raise ValueError at the first fault."""
+        ids = live + self.free_list
+        for e in ids:
+            if type(e) is not int:
+                raise ValueError(f"element id {e!r} is not an int")
+        # rules out ids out of range, held by two leaves, listed twice, or
+        # both held and free
+        if sorted(ids) != list(range(self.capacity)):
+            raise ValueError("leaf elements and the free list do not partition the pool "
+                             f"0..{self.capacity - 1}")
+        n_f, n_fj, hist = self.n_f[live], self.n_fj[live], self.hist[live]
+        if (n_fj < 0).any() or (hist < 0).any():
+            raise ValueError("an element's class or categorical count is negative")
+        if (n_f != n_fj.sum(axis=1)).any():
+            raise ValueError("an element's n_f is not the sum of its class counts")
+        if self.cat_start and (np.add.reduceat(hist, self.cat_start, axis=1)
+                               != n_fj[:, None, :]).any():
+            raise ValueError("an element's categorical counts, summed over an attribute's "
+                             "codes, are not its class counts")
+        lo, hi = self.min_a[live], self.max_a[live]
+        ranged = (-np.inf < lo) & (lo <= hi) & (hi < np.inf)  # finite; False for NaN
+        empty = (lo == np.inf) & (hi == -np.inf)
+        if not np.where((n_f > 0)[:, None], ranged, empty).all():
+            raise ValueError("an element's min_a..max_a is not (inf, -inf) before its first "
+                             "sample, or finite with min_a <= max_a after it")
+        if self.backend == BACKEND_FIXED:
+            # observe clips a step only toward a sample near the Q2.30 edge,
+            # so it relies on every tracker starting inside Q2.30
+            q = self.trackers[live]
+            if ((q < fx.RAW_MIN) | (q > fx.RAW_MAX)).any():
+                raise ValueError("a raw tracker lies outside Q2.30")
+        else:
+            moments = ((self.trackers,) if self.method == METHOD_QUANTILE
+                       else (self.g_mean, self.g_vsum))
+            if not all(np.isfinite(a[live]).all() for a in moments):
+                raise ValueError("an element's tracker or gaussian statistics are not finite")
+
+    def snapshot_doc(self) -> dict:
+        """The pool's snapshot section, by key."""
+        return {"elements": {str(e): self.element_doc(e) for e in self.live_elements()},
+                "free_list": list(self.free_list), "generations": self.generation.tolist()}
+
+    @staticmethod
+    def check_snapshot_size(doc: dict, capacity: int) -> None:
+        """Raise ValueError unless doc's pool section lists `capacity` elements."""
+        if len(doc["elements"]) + len(doc["free_list"]) != capacity:
+            raise ValueError("the element statistics and the free list do not partition "
+                             f"the pool 0..{capacity - 1}")
+
+    def load_snapshot_doc(self, doc: dict) -> None:
+        """Load doc's pool section; `load_slot` checks types and shapes, `validate` the rest."""
+        load_slot(self.generation, doc["generations"], "generations")
+        self.free_list = list(doc["free_list"])
+        for key, el_doc in doc["elements"].items():
+            self.load_element(int(key), el_doc)
 
     def element_doc(self, e: int) -> dict:
         """Element e's statistics as JSON-ready lists, by snapshot key;
@@ -238,7 +309,7 @@ class StatsPool:
     def _element_views(self, e: int) -> tuple:
         """Element e's (min_a row, max_a row, per-class banks) as views: a
         bank is the class's (Q, A) trackers or its (g_mean, g_vsum) rows.
-        They stay valid while the arrays do, since `reset_element` and
+        They stay valid while the arrays do, since `release` and
         `load_element` write in place."""
         if self.method == METHOD_QUANTILE:
             banks = list(self.trackers[e])

@@ -9,10 +9,10 @@ freezes instead: it keeps a plain class-count vector for prediction but
 never re-enters split trials, so the tree degrades gracefully rather than
 failing.
 
-A leaf holds its element's id, which indexes the pool's arrays directly.
-Every node links to its parent (None at the root), so a split replaces
-its leaf in O(1). `HoeffdingTree.validate` checks the tree's invariants,
-the parent links included; `restore` runs it.
+A leaf holds its element's id, an index into the pool (`HoeffdingTree.stats`)
+that owns the ids, their recycling, the element checks and its snapshot
+section. Every node links to its parent, so a split replaces its leaf in
+O(1). `validate` checks the invariants, parent links included; `restore` runs it.
 
 Training is strictly stream-ordered and deterministic: the same samples in
 the same order with the same config produce the identical tree, split log,
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from . import fixed_point as fx
 from . import split_eval
 from .leaf_stats import (
     BACKEND_FIXED,
@@ -38,7 +38,6 @@ from .leaf_stats import (
     METHOD_QUANTILE,
     StatsPool,
     int_array,
-    load_slot,
 )
 from .schema import CATEGORICAL, DatasetSchema, Sample, parse_schema, schema_to_json
 
@@ -65,39 +64,31 @@ class TreeConfig:
     r_range: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_min", "split_points", "quantile_count", "max_leaves", "max_depth"):
+        least = {"n_min": 1, "split_points": 1, "quantile_count": 2, "max_leaves": 2,
+                 "max_depth": 1}
+        for name in least:
             if type(getattr(self, name)) is not int:  # a bool or a float is not a count
                 raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         for name in ("delta", "tau", "lam", "r_range"):
             v = getattr(self, name)
             if type(v) is bool or not isinstance(v, Real):
                 raise ValueError(f"{name} must be a real number, not {v!r}")
-            if not math.isfinite(v):
+            if not abs(v) <= sys.float_info.max:  # NaN, infinite, or an int past float64
                 raise ValueError(f"{name} must be finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be > 0")
-        if self.n_min < 1:
-            raise ValueError("n_min must be >= 1")
-        if self.split_points < 1:
-            raise ValueError("split_points must be >= 1")
-        if self.quantile_count < 2:
-            raise ValueError("quantile_count must be >= 2")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-        if self.max_leaves < 2:
-            raise ValueError("max_leaves must be >= 2")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        for name in ("tau", "lam", "r_range"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name, floor in least.items():
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}")
         if self.method not in (METHOD_QUANTILE, METHOD_GAUSSIAN):
             raise ValueError(f"unknown method {self.method!r}")
         if self.numeric_backend not in (BACKEND_FLOAT, BACKEND_FIXED):
             raise ValueError(f"unknown backend {self.numeric_backend!r}")
         if self.method == METHOD_GAUSSIAN and self.numeric_backend == BACKEND_FIXED:
             raise ValueError("fixed backend applies to the quantile method only")
-        if self.r_range <= 0.0:
-            raise ValueError("r_range must be > 0")
 
 
 class LeafNode:
@@ -133,32 +124,6 @@ class InternalNode:
 Node = Union[LeafNode, InternalNode]
 
 
-class ElementPool:
-    """Dense element ids with a LIFO free list; conservation is exact."""
-
-    def __init__(self, stats: StatsPool):
-        self.stats = stats
-        self.capacity = stats.capacity
-        self.free_list = list(range(self.capacity - 1, -1, -1))  # pops 0,1,2,...
-
-    @property
-    def free_count(self) -> int:
-        return len(self.free_list)
-
-    @property
-    def allocated_count(self) -> int:
-        return self.capacity - len(self.free_list)
-
-    def alloc(self) -> int:
-        if not self.free_list:
-            raise RuntimeError("element pool exhausted")
-        return self.free_list.pop()
-
-    def release(self, e: int) -> None:
-        self.stats.reset_element(e)
-        self.free_list.append(e)
-
-
 @dataclass
 class SplitEvent:
     kind: str  # "split" or "freeze"
@@ -175,10 +140,9 @@ class HoeffdingTree:
         self.schema = schema
         self.config = config
         self.stats = StatsPool(schema, config, config.max_leaves)
-        self.pool = ElementPool(self.stats)
         self._code_ranges = [(i, schema.attributes[i].cardinality) for i in self.stats.cat_idx]
         self._attr_count = schema.attr_count
-        self.root: Node = LeafNode(self.pool.alloc(), depth=0)
+        self.root: Node = LeafNode(self.stats.alloc(), depth=0)
         self.leaf_count = 1
         # the deepest leaf's depth; not in snapshots, `restore` recomputes it
         self.depth = 0
@@ -188,6 +152,12 @@ class HoeffdingTree:
         self.trial_count = 0
         self.train_count = 0
         self.split_log: list[SplitEvent] = []
+
+    @property
+    def pool(self) -> StatsPool:
+        """Kept only because `bench/tracer.py` reads `tree.pool.allocated_count`
+        (`leaf_stats.pool_allocated`); it goes once the bench reads `counters()`."""
+        return self.stats
 
     # ------------------------------------------------------------- routing
 
@@ -287,12 +257,12 @@ class HoeffdingTree:
         best = decision.best
         if (leaf.depth + 1 > self.config.max_depth
                 or self.leaf_count + 1 > self.config.max_leaves
-                or self.pool.free_count < 2):
+                or self.stats.allocated_count + 2 > self.stats.capacity):
             return self._freeze(leaf, decision)
         majority = leaf.cached_majority
-        left = LeafNode(self.pool.alloc(), leaf.depth + 1, majority)
-        right = LeafNode(self.pool.alloc(), leaf.depth + 1, majority)
-        self.pool.release(e)
+        left = LeafNode(self.stats.alloc(), leaf.depth + 1, majority)
+        right = LeafNode(self.stats.alloc(), leaf.depth + 1, majority)
+        self.stats.release(e)
         is_cat = self.schema.attributes[best.attribute].kind == CATEGORICAL
         internal = InternalNode(best.attribute, best.split_point, is_cat, left, right)
         parent = internal.parent = leaf.parent
@@ -315,7 +285,7 @@ class HoeffdingTree:
         n = self.stats.n_f.item(e)
         # the leaf's majority and majority_count already follow these counts
         leaf.frozen_counts = self.stats.n_fj[e].copy()
-        self.pool.release(e)
+        self.stats.release(e)
         leaf.eid = None
         self.frozen_leaf_count += 1
         self.freeze_count += 1
@@ -348,8 +318,8 @@ class HoeffdingTree:
             "freezes": self.freeze_count,
             "trials": self.trial_count,
             "depth": self.depth,
-            "pool_free": self.pool.free_count,
-            "pool_allocated": self.pool.allocated_count,
+            "pool_free": self.stats.capacity - self.stats.allocated_count,
+            "pool_allocated": self.stats.allocated_count,
             "saturations": self.stats.saturation_count,
         }
 
@@ -411,29 +381,9 @@ class HoeffdingTree:
         if self.depth != deepest:
             raise ValueError(f"depth counter says {self.depth}, the deepest leaf is {deepest}")
 
-        eids = [leaf.eid for leaf in live]
-        ids = eids + self.pool.free_list
-        for e in ids:
-            if type(e) is not int:
-                raise ValueError(f"element id {e!r} is not an int")
-        capacity = self.pool.capacity
-        # rules out ids out of range, held by two leaves, listed twice, or
-        # both held and free
-        if sorted(ids) != list(range(capacity)):
-            raise ValueError("leaf elements and the free list do not partition the pool "
-                             f"0..{capacity - 1}")
-        idx = np.array(eids, dtype=np.int64)
-        n_fj, hist = stats.n_fj[idx], stats.hist[idx]
-        if (n_fj < 0).any() or (hist < 0).any():
-            raise ValueError("an element's class or categorical count is negative")
-        if (stats.n_f[idx] != n_fj.sum(axis=1)).any():
-            raise ValueError("an element's n_f is not the sum of its class counts")
-        if stats.cat_start and (np.add.reduceat(hist, stats.cat_start, axis=1)
-                                != n_fj[:, None, :]).any():
-            raise ValueError("an element's categorical counts, summed over an attribute's "
-                             "codes, are not its class counts")
+        stats.validate(eids := [leaf.eid for leaf in live])
         frozen_counts = np.array([leaf.frozen_counts for leaf in frozen], dtype=np.int64)
-        counts = np.concatenate([n_fj, frozen_counts.reshape(len(frozen), C)])
+        counts = np.concatenate([stats.n_fj[eids], frozen_counts.reshape(len(frozen), C)])
         majority = np.array([leaf.cached_majority for leaf in live + frozen])
         majority_count = np.array([leaf.majority_count for leaf in live + frozen])
         if majority.dtype.kind != "i" or ((majority < 0) | (majority >= C)).any():
@@ -443,24 +393,6 @@ class HoeffdingTree:
         # the tree's rule: ties go to the lower class
         if ((majority_count > 0) & (majority != counts.argmax(axis=1))).any():
             raise ValueError("a leaf's majority is not the lowest class with the largest count")
-
-        lo, hi = stats.min_a[idx], stats.max_a[idx]
-        ranged = (-np.inf < lo) & (lo <= hi) & (hi < np.inf)  # finite; False for NaN
-        empty = (lo == np.inf) & (hi == -np.inf)
-        if not np.where((stats.n_f[idx] > 0)[:, None], ranged, empty).all():
-            raise ValueError("an element's min_a..max_a is not (inf, -inf) before its first "
-                             "sample, or finite with min_a <= max_a after it")
-        if stats.backend == BACKEND_FIXED:
-            # observe clips a step only toward a sample near the Q2.30 edge,
-            # so it relies on every tracker starting inside Q2.30
-            q = stats.trackers[idx]
-            if ((q < fx.RAW_MIN) | (q > fx.RAW_MAX)).any():
-                raise ValueError("a raw tracker lies outside Q2.30")
-        else:
-            moments = ((stats.trackers,) if cfg.method == METHOD_QUANTILE
-                       else (stats.g_mean, stats.g_vsum))
-            if not all(np.isfinite(a[idx]).all() for a in moments):
-                raise ValueError("an element's tracker or gaussian statistics are not finite")
 
     def _check_test(self, node: InternalNode, depth: int) -> None:
         """Raise ValueError unless node tests an attribute of the schema, is
@@ -494,12 +426,7 @@ class HoeffdingTree:
             "config": vars(self.config),
             "schema": json.loads(schema_to_json(self.schema)),
             "tree": self._node_to_doc(self.root),
-            "elements": {
-                str(e): self.stats.element_doc(e)
-                for e in sorted(set(range(self.pool.capacity)) - set(self.pool.free_list))
-            },
-            "free_list": list(self.pool.free_list),
-            "generations": self.stats.generation.tolist(),
+            **self.stats.snapshot_doc(),
             # the depth and pool counters follow from the tree and free list
             "counters": {k: v for k, v in self.counters().items()
                          if k not in ("depth", "pool_free", "pool_allocated")},
@@ -535,7 +462,8 @@ def new_tree(schema: DatasetSchema, config: TreeConfig = TreeConfig()) -> Hoeffd
 
 def restore(payload: bytes) -> HoeffdingTree:
     """Rebuild a tree from `snapshot` bytes; raises SnapshotError for a
-    payload that is not a valid snapshot (see `HoeffdingTree.validate`)."""
+    payload that is not a valid snapshot (see `HoeffdingTree.validate`),
+    before building the tree if its pool section is not `max_leaves` long."""
     try:
         doc = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError, RecursionError) as e:
@@ -550,10 +478,9 @@ def restore(payload: bytes) -> HoeffdingTree:
     try:
         schema = parse_schema(json.dumps(doc["schema"]))
         config = TreeConfig(**doc["config"])
+        StatsPool.check_snapshot_size(doc, config.max_leaves)  # before allocating
         tree = HoeffdingTree(schema, config)
-        stats = tree.stats
-        load_slot(stats.generation, doc["generations"], "generations")
-        tree.pool.free_list = list(doc["free_list"])
+        tree.stats.load_snapshot_doc(doc)
         tree.root = _node_from_doc(doc["tree"], tree)
         counters = doc["counters"]
         tree.train_count = counters["trained"]
@@ -562,15 +489,13 @@ def restore(payload: bytes) -> HoeffdingTree:
         tree.split_count = counters["splits"]
         tree.freeze_count = counters["freezes"]
         tree.trial_count = counters["trials"]
-        stats.saturation_count = counters["saturations"]
-        for key, el_doc in doc["elements"].items():
-            stats.load_element(int(key), el_doc)
+        tree.stats.saturation_count = counters["saturations"]
         tree.validate()
-        live = sorted(set(range(tree.pool.capacity)) - set(tree.pool.free_list))
-        if sorted(int(k) for k in doc["elements"]) != live:
+        if sorted(int(k) for k in doc["elements"]) != tree.stats.live_elements():
             raise ValueError("element statistics do not match the leaves' elements")
         return tree
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
+            RecursionError) as e:
         raise SnapshotError(f"snapshot payload is corrupt: {e}") from None
 
 

@@ -413,6 +413,22 @@ def test_encode_refuses_what_its_schema_cannot_hold(tmp_path, capsys, text, flag
     assert match in err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--schema-out", "--mapping-out"])
+def test_encode_refuses_to_write_over_its_input(tmp_path, capsys, flag):
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b"1.0,yes\n2.0,no\n")
+    link = tmp_path / "link.csv"  # the input under another name
+    link.symlink_to(raw)
+    paths = {"--out": tmp_path / "coded.csv", "--schema-out": tmp_path / "s.json",
+             "--mapping-out": tmp_path / "map.json", flag: link}
+    rc = cli.run(["encode", "--data", str(raw),
+                  *(arg for f, path in paths.items() for arg in (f, str(path)))])
+    assert rc == 1
+    assert f"output {link} is the input file {raw}" in capsys.readouterr().err
+    assert raw.read_bytes() == b"1.0,yes\n2.0,no\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "raw.csv"]
+
+
 @pytest.mark.parametrize("label", ["foo", "1.5", ""])
 def test_encode_bad_label_column_is_usage_error(tmp_path, capsys, label):
     with pytest.raises(SystemExit) as exc:

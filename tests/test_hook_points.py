@@ -8,7 +8,9 @@ wrapper, and the layer it times reads zero. Each replay here counts the
 wrapped calls against what the tree itself counted.
 """
 
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +58,19 @@ def test_every_hook_point_sees_its_calls(name, tmp_path, monkeypatch):
     # the gaussian table fits a CDF, the fixed one converts its split points
     assert (calls["cdf"] > 0) == (name == "gaussian")
     assert (calls["convert"] >= tree.trial_count) == (name == "quantile-fixed")
+
+
+def test_what_the_bench_tracer_reads_is_there():
+    """bench/tracer.py looks its hook targets up by name and reads
+    `tree.pool.allocated_count`, so a rename here blinds a bench metric
+    without failing any call there."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tree = new_tree(synth.preset_schema("bimodal"))
+    owners = {"tree": tree, "stats": tree.stats}
+    for key, (owner, attr) in tracer.HOOKS.items():
+        target = owners.get(owner) or importlib.import_module(f"streamtree.{owner}")
+        assert callable(getattr(target, attr, None)), f"hook {key!r}: {owner}.{attr}"
+    assert tree.pool.allocated_count == tree.counters()["pool_allocated"] == 1

@@ -314,13 +314,34 @@ class TestCategoricalPartitions:
         assert decision.best.quality == decision.second_best.quality == 4.0
 
 
+def third_id(pool):
+    """Allocate ids 0, 1 and 2 (the free list hands them out in order); 2."""
+    assert [pool.alloc() for _ in range(3)] == [0, 1, 2]
+    return 2
+
+
 class TestRecycling:
+    def test_ids_come_out_in_order_and_run_out(self):
+        pool = make_pool(MIXED, capacity=3)
+        third_id(pool)
+        assert pool.allocated_count == 3 and pool.live_elements() == [0, 1, 2]
+        with pytest.raises(RuntimeError, match="element pool exhausted"):
+            pool.alloc()
+
+    def test_release_frees_the_id_and_counts_a_generation(self):
+        pool = make_pool(MIXED)
+        e = third_id(pool)
+        pool.release(1)
+        assert pool.free_list[-1] == 1 and pool.live_elements() == [0, e]
+        assert pool.generation.tolist() == [0, 1, 0, 0]
+        assert pool.alloc() == 1  # last in, first out
+
     def test_reset_clears_everything(self):
         pool = make_pool(MIXED)
-        e = 2
+        e = third_id(pool)
         for _ in range(10):
             observe(pool, e, Sample([0.5, 1], 1))
-        pool.reset_element(2)
+        pool.release(e)
         assert pool.n_f[2] == 0
         assert np.all(pool.n_fj[2] == 0)
         assert np.isinf(pool.min_a[2]).all() and np.isinf(pool.max_a[2]).all()
@@ -330,10 +351,10 @@ class TestRecycling:
     @pytest.mark.parametrize("kw", [{}, {"backend": "fixed"}, {"method": "gaussian"}])
     def test_reset_matches_a_fresh_element(self, kw):
         pool = make_pool(MIXED, **kw)
-        e = 2
+        e = third_id(pool)
         for x, c, y in ((0.5, 1, 1), (-0.3, 2, 0), (0.9, 1, 1)):
             observe(pool, e, Sample([x, c], y))
-        pool.reset_element(2)
+        pool.release(e)
         assert pool.element_doc(2) == make_pool(MIXED, **kw).element_doc(2)
 
 
@@ -358,9 +379,10 @@ class TestElementViews:
     @pytest.mark.parametrize("kw", POOL_KINDS)
     def test_observe_after_reset_matches_a_fresh_pool(self, kw):
         pool, fresh = make_pool(MIXED, **kw), make_pool(MIXED, **kw)
+        third_id(pool)
         for s in stream(1):
             observe(pool, 2, s)
-        pool.reset_element(2)
+        pool.release(2)
         for s in stream(2):
             observe(pool, 2, s)
             observe(fresh, 2, s)

@@ -195,15 +195,20 @@ def labelled(rows):
        rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                                st.sampled_from([0, 0, 0, 1])),
                      min_size=2, max_size=400),
-       cut=st.floats(0.0, 1.0))
-def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, wide, rows, cut):
-    config = TreeConfig(n_min=25, method=CONFIGS[name].method,
+       # drawn rows stay short (a few dozen at most): an xor tail grows the tree
+       tail=st.sampled_from([0, 400, 1500]),
+       cut=st.floats(0.0, 1.0),
+       # a small pool runs out: freezes, and released ids reused, across the cut
+       max_leaves=st.one_of(st.integers(2, 5), st.just(1024)))
+def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, wide, rows, tail, cut,
+                                                               max_leaves):
+    config = TreeConfig(n_min=25, method=CONFIGS[name].method, max_leaves=max_leaves,
                         numeric_backend=CONFIGS[name].numeric_backend)
     if wide and name == "quantile-fixed":
         # library inputs are not normalized: these saturate on conversion
         # and put trackers on the Q2.30 edge
         rows = [(3.0 * x0, 2.0 + x1, flip) for x0, x1, flip in rows]
-    stream = labelled(rows)
+    stream = labelled(rows) + list(synth.generate("xor", tail, seed=tail))
     k = int(cut * len(stream))
     whole = new_tree(TWO_NUM, config)
     want = [whole.step(s) for s in stream]

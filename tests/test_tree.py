@@ -10,6 +10,8 @@ import pytest
 
 from streamtree import fixed_point as fx
 from streamtree import synth
+from streamtree import tree as tree_module
+from streamtree.leaf_stats import StatsPool
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample, open_stream
 from streamtree.tree import (
     HoeffdingTree,
@@ -36,13 +38,13 @@ class TestNewTree:
         tree = new_tree(TWO_NUM)
         assert tree.leaf_count == 1
         assert tree.depth == 0
-        assert tree.pool.free_count == 1023
+        assert len(tree.stats.free_list) == 1023
         check_tree(tree)
 
     def test_small_pool(self):
         tree = new_tree(TWO_NUM, TreeConfig(max_leaves=2))
-        assert tree.pool.capacity == 2
-        assert tree.pool.free_count == 1
+        assert tree.stats.capacity == 2
+        assert tree.stats.free_list == [1]
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -55,6 +57,10 @@ class TestNewTree:
             TreeConfig(method="gaussian", numeric_backend="fixed")
         with pytest.raises(ValueError):
             TreeConfig(method="nope")
+        for field in ("delta", "tau", "lam", "r_range"):
+            for huge in (10**400, -10**400):  # past float64: math.isfinite overflows
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    TreeConfig(**{field: huge})
 
     @pytest.mark.parametrize("field", ["delta", "tau", "lam", "r_range"])
     def test_non_finite_real_rejected(self, field):
@@ -233,7 +239,7 @@ class TestApplySplit:
         tree.train(separable_stream(2000))
         assert tree.split_count >= 1
         assert tree.leaf_count == tree.split_count + 1
-        assert tree.pool.allocated_count == tree.leaf_count - tree.frozen_leaf_count
+        assert tree.stats.allocated_count == tree.leaf_count - tree.frozen_leaf_count
         check_tree(tree)
 
     def test_children_inherit_majority(self):
@@ -483,6 +489,30 @@ class TestSnapshotValidation:
         live = str(self.live_leaves(doc)[0]["element"])
         doc["elements"][str(doc["free_list"][0])] = doc["elements"][live]
         self.rejects(doc, "element statistics")
+
+    def test_statistics_moved_onto_a_free_element(self):
+        # the right number of statistics, under a free id; the root's
+        # element holds no sample, so it passes validate() as a fresh one
+        doc = json.loads(new_tree(TWO_NUM).snapshot())
+        doc["elements"] = {"1": doc["elements"]["0"]}
+        self.rejects(doc, "element statistics do not match the leaves' elements")
+
+    def test_element_statistics_not_an_object(self):
+        doc = self.doc()
+        doc["elements"] = list(doc["elements"].values())
+        self.rejects(doc, "corrupt")
+
+    def test_pool_size_refused_before_the_pool_is_built(self, monkeypatch):
+        # a 9 KB payload asking for a 2,000,000-element pool
+        doc = json.loads(new_tree(synth.preset_schema("bimodal")).snapshot())
+        doc["config"]["max_leaves"] = 2_000_000
+
+        class Unbuilt(StatsPool):
+            def __init__(self, *args):
+                raise AssertionError("restore built a pool before checking its size")
+
+        monkeypatch.setattr(tree_module, "StatsPool", Unbuilt)
+        self.rejects(doc, "free list do not partition the pool 0..1999999")
 
     def frozen_leaves(self, doc):
         return [leaf for leaf in leaf_docs(doc["tree"]) if "frozen_counts" in leaf]

@@ -11,7 +11,6 @@ def check_tree(tree: HoeffdingTree) -> None:
     conservation, per-class count totals, the categorical counts and every
     leaf's majority, then validate."""
     config = tree.config
-    pool = tree.pool
     stats = tree.stats
     leaves = frozen = deepest = 0
     seen = set()
@@ -50,9 +49,10 @@ def check_tree(tree: HoeffdingTree) -> None:
     assert frozen == tree.frozen_leaf_count == tree.freeze_count
     assert tree.trial_count >= tree.split_count + tree.freeze_count
     assert deepest == tree.depth
-    assert pool.allocated_count == leaves - frozen == len(seen)
-    assert pool.allocated_count + pool.free_count == pool.capacity
-    assert sorted(list(seen) + pool.free_list) == list(range(pool.capacity))
+    assert stats.allocated_count == leaves - frozen == len(seen)
+    assert stats.allocated_count + len(stats.free_list) == stats.capacity
+    assert sorted(list(seen) + stats.free_list) == list(range(stats.capacity))
+    assert stats.live_elements() == sorted(seen)
     if seen:
         ids = sorted(seen)
         assert np.array_equal(stats.n_f[ids], stats.n_fj[ids].sum(axis=1)), \
