@@ -237,7 +237,8 @@ class StatsPool:
         if sorted(ids) != list(range(self.capacity)):
             raise ValueError("leaf elements and the free list do not partition the pool "
                              f"0..{self.capacity - 1}")
-        n_f, n_fj, hist = self.n_f[live], self.n_fj[live], self.hist[live]
+        idx = np.array(live, dtype=np.int64)
+        n_f, n_fj, hist = self.n_f[idx], self.n_fj[idx], self.hist[idx]
         if (n_fj < 0).any() or (hist < 0).any():
             raise ValueError("an element's class or categorical count is negative")
         if (n_f != n_fj.sum(axis=1)).any():
@@ -246,7 +247,7 @@ class StatsPool:
                                != n_fj[:, None, :]).any():
             raise ValueError("an element's categorical counts, summed over an attribute's "
                              "codes, are not its class counts")
-        lo, hi = self.min_a[live], self.max_a[live]
+        lo, hi = self.min_a[idx], self.max_a[idx]
         ranged = (-np.inf < lo) & (lo <= hi) & (hi < np.inf)  # finite; False for NaN
         empty = (lo == np.inf) & (hi == -np.inf)
         if not np.where((n_f > 0)[:, None], ranged, empty).all():
@@ -255,13 +256,13 @@ class StatsPool:
         if self.backend == BACKEND_FIXED:
             # observe clips a step only toward a sample near the Q2.30 edge,
             # so it relies on every tracker starting inside Q2.30
-            q = self.trackers[live]
+            q = self.trackers[idx]
             if ((q < fx.RAW_MIN) | (q > fx.RAW_MAX)).any():
                 raise ValueError("a raw tracker lies outside Q2.30")
         else:
             moments = ((self.trackers,) if self.method == METHOD_QUANTILE
                        else (self.g_mean, self.g_vsum))
-            if not all(np.isfinite(a[live]).all() for a in moments):
+            if not all(np.isfinite(a[idx]).all() for a in moments):
                 raise ValueError("an element's tracker or gaussian statistics are not finite")
 
     def snapshot_doc(self) -> dict:
@@ -271,15 +272,19 @@ class StatsPool:
 
     @staticmethod
     def check_snapshot_size(doc: dict, capacity: int) -> None:
-        """Raise ValueError unless doc's pool section lists `capacity` elements."""
-        if len(doc["elements"]) + len(doc["free_list"]) != capacity:
-            raise ValueError("the element statistics and the free list do not partition "
-                             f"the pool 0..{capacity - 1}")
+        """The shape check `load_snapshot_doc` makes of doc's generations, one
+        per element, made before a pool of `capacity` elements is allocated."""
+        generations = doc["generations"]
+        if type(generations) is not list or len(generations) != capacity:
+            raise ValueError(f"generations has shape {np.shape(generations)}, "
+                             f"expected ({capacity},)")
 
     def load_snapshot_doc(self, doc: dict) -> None:
         """Load doc's pool section; `load_slot` checks types and shapes, `validate` the rest."""
         load_slot(self.generation, doc["generations"], "generations")
         self.free_list = list(doc["free_list"])
+        if type(doc["elements"]) is not dict:
+            raise ValueError("elements is not an object")
         for key, el_doc in doc["elements"].items():
             self.load_element(int(key), el_doc)
 

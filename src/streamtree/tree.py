@@ -64,9 +64,7 @@ class TreeConfig:
     r_range: float = 1.0
 
     def __post_init__(self):
-        least = {"n_min": 1, "split_points": 1, "quantile_count": 2, "max_leaves": 2,
-                 "max_depth": 1}
-        for name in least:
+        for name in ("n_min", "split_points", "quantile_count", "max_leaves", "max_depth"):
             if type(getattr(self, name)) is not int:  # a bool or a float is not a count
                 raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         for name in ("delta", "tau", "lam", "r_range"):
@@ -77,18 +75,28 @@ class TreeConfig:
                 raise ValueError(f"{name} must be finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        for name in ("tau", "lam", "r_range"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name, floor in least.items():
-            if getattr(self, name) < floor:
-                raise ValueError(f"{name} must be >= {floor}")
+        if self.tau <= 0.0:
+            raise ValueError("tau must be > 0")
+        if self.n_min < 1:
+            raise ValueError("n_min must be >= 1")
+        if self.split_points < 1:
+            raise ValueError("split_points must be >= 1")
+        if self.quantile_count < 2:
+            raise ValueError("quantile_count must be >= 2")
+        if self.lam <= 0.0:
+            raise ValueError("lam must be > 0")
+        if self.max_leaves < 2:
+            raise ValueError("max_leaves must be >= 2")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
         if self.method not in (METHOD_QUANTILE, METHOD_GAUSSIAN):
             raise ValueError(f"unknown method {self.method!r}")
         if self.numeric_backend not in (BACKEND_FLOAT, BACKEND_FIXED):
             raise ValueError(f"unknown backend {self.numeric_backend!r}")
         if self.method == METHOD_GAUSSIAN and self.numeric_backend == BACKEND_FIXED:
             raise ValueError("fixed backend applies to the quantile method only")
+        if self.r_range <= 0.0:
+            raise ValueError("r_range must be > 0")
 
 
 class LeafNode:
@@ -463,7 +471,7 @@ def new_tree(schema: DatasetSchema, config: TreeConfig = TreeConfig()) -> Hoeffd
 def restore(payload: bytes) -> HoeffdingTree:
     """Rebuild a tree from `snapshot` bytes; raises SnapshotError for a
     payload that is not a valid snapshot (see `HoeffdingTree.validate`),
-    before building the tree if its pool section is not `max_leaves` long."""
+    before building the tree if it lists other than `max_leaves` generations."""
     try:
         doc = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError, RecursionError) as e:
@@ -494,8 +502,7 @@ def restore(payload: bytes) -> HoeffdingTree:
         if sorted(int(k) for k in doc["elements"]) != tree.stats.live_elements():
             raise ValueError("element statistics do not match the leaves' elements")
         return tree
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
-            RecursionError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as e:
         raise SnapshotError(f"snapshot payload is corrupt: {e}") from None
 
 
