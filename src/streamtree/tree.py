@@ -471,7 +471,7 @@ def new_tree(schema: DatasetSchema, config: TreeConfig = TreeConfig()) -> Hoeffd
 def restore(payload: bytes) -> HoeffdingTree:
     """Rebuild a tree from `snapshot` bytes; raises SnapshotError for a
     payload that is not a valid snapshot (see `HoeffdingTree.validate`),
-    before building the tree if it lists other than `max_leaves` generations."""
+    before building the tree if its pool section is not `max_leaves` long."""
     try:
         doc = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError, RecursionError) as e:
