@@ -2,8 +2,8 @@
 
 Subcommands:
   eval        interleaved test-then-train on a coded CSV, metrics report
-  sweep       one independent run per quantile count, tabulated
-  compare     quantile method vs Gaussian baseline on the same stream
+  sweep       one tree per quantile count, all fed from one pass, tabulated
+  compare     quantile method vs Gaussian baseline, both fed from one pass
   cdf-export  exact/quantile/Gaussian CDF series for one attribute
   encode      turn a string-valued CSV into codes + a generated schema
   synth       materialize a synthetic benchmark stream with known truth
@@ -153,8 +153,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CommandError(f"bad quantile list: {args.quantiles!r}") from None
     if not q_list:
         raise CommandError("quantile list is empty")
-    config = config_from_args(args, quantile_count=q_list[0])
-    rows = sweep_quantiles(data, schema, q_list, config)
+    configs = [config_from_args(args, quantile_count=q) for q in q_list]  # every Q, before any run
+    rows = sweep_quantiles(data, schema, q_list, configs[0])
     doc = {"command": "sweep", "data": args.data,
            "rows": [{"quantiles": q, "metrics": m.to_dict()} for q, m in rows]}
     lines = [f"sweep {args.data}", "  |Q|  accuracy  leaves  depth"]

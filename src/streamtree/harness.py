@@ -4,6 +4,15 @@ Every sample is scored against the current tree before the tree trains on
 it, and the headline accuracy is cumulative over the whole stream. A
 windowed accuracy series rides along for diagnostics; wall time is
 recorded but excluded from determinism comparisons.
+
+Every run goes through one loop over samples that steps a list of trees.
+`run_many` builds one tree per config, opens the source once and feeds
+each parsed sample to every tree; `run_once`, `sweep_quantiles` and
+`compare_methods` are its callers, and `interleaved_test_then_train` is
+the same loop over one tree and a stream the caller opened. The trees
+never share state, so each ends as it would fed alone. Each Metrics of a
+multi-tree pass carries that pass's wall time, and the pass holds every
+tree's statistics pool at once.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .schema import NUMERIC, DatasetSchema, Sample, open_stream
 from .tree import HoeffdingTree, TreeConfig, new_tree
 
 StreamSource = Union[str, Callable[[], Iterable[Sample]]]
+WINDOW = 10_000  # samples per entry of Metrics.window_series
 
 
 @dataclass
@@ -65,34 +75,45 @@ class Metrics:
 
 
 def interleaved_test_then_train(tree: HoeffdingTree, stream: Iterable[Sample],
-                                window: int = 10_000) -> Metrics:
-    m = Metrics()
-    step = tree.step
-    win_correct = 0
-    win_seen = 0
+                                window: int = WINDOW) -> Metrics:
+    return _test_then_train([tree], stream, window)[0]
+
+
+def _test_then_train(trees: Sequence[HoeffdingTree], stream: Iterable[Sample],
+                     window: int) -> list[Metrics]:
+    """The harness's one loop over samples: each tree in turn predicts a
+    sample, then trains on it. The trees share `samples_seen`, the window
+    boundaries, the stream's `clamp_count` and the pass's `wall_time`."""
+    if type(window) is not int or window < 1:  # a bool or a float is not a width
+        raise ValueError(f"window must be an int >= 1, not {window!r}")
+    steps = [tree.step for tree in trees]
+    which = range(len(steps))
+    correct = [0] * len(steps)
+    marks = [(0, list(correct))]  # (samples seen, correct counts) at each window boundary
+    seen = 0
+    mark = window
     t0 = time.perf_counter()
     for s in stream:
-        ok = step(s) == s.label
-        m.samples_seen += 1
-        win_seen += 1
-        if ok:
-            m.correct += 1
-            win_correct += 1
-        if win_seen == window:
-            m.window_series.append((m.samples_seen, win_correct / win_seen))
-            win_correct = 0
-            win_seen = 0
-    m.wall_time = time.perf_counter() - t0
-    if win_seen:
-        m.window_series.append((m.samples_seen, win_correct / win_seen))
-    m.splits_taken = tree.split_count
-    m.frozen_leaves = tree.frozen_leaf_count
-    m.leaf_count = tree.leaf_count
-    m.depth = tree.depth
-    m.saturation_count = tree.stats.saturation_count
-    if hasattr(stream, "clamp_count"):
-        m.clamp_count = stream.clamp_count
-    return m
+        label = s.label
+        for i in which:
+            if steps[i](s) == label:
+                correct[i] += 1
+        seen += 1
+        if seen == mark:
+            marks.append((seen, list(correct)))
+            mark += window
+    wall_time = time.perf_counter() - t0
+    if seen > marks[-1][0]:
+        marks.append((seen, correct))
+    windows = list(zip(marks, marks[1:]))
+    clamp_count = getattr(stream, "clamp_count", 0)
+    return [Metrics(samples_seen=seen, correct=correct[i], splits_taken=tree.split_count,
+                    frozen_leaves=tree.frozen_leaf_count, leaf_count=tree.leaf_count,
+                    depth=tree.depth, wall_time=wall_time, clamp_count=clamp_count,
+                    saturation_count=tree.stats.saturation_count,
+                    window_series=[(n, (c[i] - c0[i]) / (n - n0))
+                                   for (n0, c0), (n, c) in windows])
+            for i, tree in enumerate(trees)]
 
 
 def _open(source: StreamSource, schema: DatasetSchema) -> Iterable[Sample]:
@@ -101,36 +122,35 @@ def _open(source: StreamSource, schema: DatasetSchema) -> Iterable[Sample]:
     return source()
 
 
+def run_many(source: StreamSource, schema: DatasetSchema,
+             configs: Sequence[TreeConfig]) -> list[tuple[HoeffdingTree, Metrics]]:
+    """One tree per config, every tree fed each sample of one pass over
+    source. Every tree is built before the source is opened."""
+    if not configs:
+        raise ValueError("configs must be nonempty")
+    trees = [new_tree(schema, config) for config in configs]
+    return list(zip(trees, _test_then_train(trees, _open(source, schema), WINDOW)))
+
+
 def run_once(source: StreamSource, schema: DatasetSchema,
              config: TreeConfig) -> tuple[HoeffdingTree, Metrics]:
-    tree = new_tree(schema, config)
-    metrics = interleaved_test_then_train(tree, _open(source, schema))
-    return tree, metrics
+    return run_many(source, schema, [config])[0]
 
 
 def sweep_quantiles(source: StreamSource, schema: DatasetSchema,
                     q_list: Sequence[int],
                     config: TreeConfig = TreeConfig()) -> list[tuple[int, Metrics]]:
-    """One independent full run per quantile count."""
-    if not q_list:
-        raise ValueError("q_list must be nonempty")
-    rows = []
-    for q in q_list:
-        cfg = replace(config, quantile_count=q, method="quantile")
-        _, metrics = run_once(source, schema, cfg)
-        rows.append((q, metrics))
-    return rows
+    """One quantile-method tree per quantile count, all fed from one pass."""
+    configs = [replace(config, quantile_count=q, method="quantile") for q in q_list]
+    return [(q, m) for q, (_, m) in zip(q_list, run_many(source, schema, configs))]
 
 
 def compare_methods(source: StreamSource, schema: DatasetSchema,
                     config: TreeConfig = TreeConfig()) -> dict[str, Metrics]:
-    """Same stream through the quantile learner and the Gaussian baseline."""
-    out = {}
-    for method in ("quantile", "gaussian"):
-        cfg = replace(config, method=method, numeric_backend="float")
-        _, metrics = run_once(source, schema, cfg)
-        out[method] = metrics
-    return out
+    """The quantile learner and the Gaussian baseline fed from one pass."""
+    methods = ("quantile", "gaussian")
+    configs = [replace(config, method=m, numeric_backend="float") for m in methods]
+    return {m: metrics for m, (_, metrics) in zip(methods, run_many(source, schema, configs))}
 
 
 @dataclass

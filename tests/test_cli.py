@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from streamtree import cli, restore
+from streamtree import cli, harness, restore
 from streamtree.schema import CHUNK_LINES, load_schema
 
 
@@ -193,6 +193,15 @@ def test_sweep_rejects_bad_list(stream, capsys):
                   "--quantiles", "2,eight"])
     capsys.readouterr()
     assert rc == 1
+
+
+@pytest.mark.parametrize("q_list", ["8,1", "1,8"])
+def test_sweep_refuses_every_bad_count_before_training(stream, capsys, monkeypatch, q_list):
+    data, schema = stream
+    monkeypatch.setattr(harness, "open_stream", lambda *a: pytest.fail("the data was opened"))
+    rc = cli.run(["sweep", "--data", data, "--schema", schema, "--quantiles", q_list])
+    assert rc == 1
+    assert "bad configuration: quantile_count must be >= 2" in capsys.readouterr().err
 
 
 def test_compare_reports_both_methods(stream, capsys):

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from streamtree import synth
+from streamtree import harness, synth
 from streamtree.harness import (
     Metrics,
     compare_methods,
     export_cdf_comparison,
     interleaved_test_then_train,
+    run_many,
     run_once,
     sweep_quantiles,
 )
@@ -79,6 +80,13 @@ class TestInterleaved:
             runs.append(m.to_json(include_timing=False))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("window", [0, -5, 1.5, True])
+    def test_bad_window_refused_before_any_step(self, window):
+        tree = new_tree(ONE_NUM)
+        with pytest.raises(ValueError, match="window must be an int >= 1"):
+            interleaved_test_then_train(tree, const_label_stream(10), window=window)
+        assert tree.train_count == 0
+
     def test_clamp_count_from_csv_stream(self, tmp_path):
         schema = DatasetSchema(
             (AttributeSpec("x", "numeric", declared_min=0.0, declared_max=1.0),), 2
@@ -109,6 +117,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_quantiles(lambda: iter(()), ONE_NUM, [])
 
+    def test_bad_q_refused_before_the_source_opens(self):
+        with pytest.raises(ValueError, match="quantile_count must be >= 2"):
+            sweep_quantiles(lambda: pytest.fail("the source was opened"), ONE_NUM, [8, 1])
+
 
 class TestCompareMethods:
     def test_bimodal_separates_quantile_from_gaussian(self):
@@ -124,6 +136,38 @@ class TestCompareMethods:
         out = compare_methods(src, synth.preset_schema("gauss-shift"))
         assert out["quantile"].accuracy > 0.9
         assert out["gaussian"].accuracy > 0.9
+
+
+ONE_PASS_CONFIGS = [
+    TreeConfig(),
+    TreeConfig(numeric_backend="fixed"),
+    TreeConfig(method="gaussian"),
+    TreeConfig(quantile_count=2),
+]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+    def test_one_pass_equals_separate_passes(self, preset):
+        schema = synth.preset_schema(preset)
+        src = lambda: synth.generate(preset, 6000, seed=4)
+        for config, (tree, m) in zip(ONE_PASS_CONFIGS, run_many(src, schema, ONE_PASS_CONFIGS)):
+            alone = new_tree(schema, config)
+            m_alone = interleaved_test_then_train(alone, src())
+            assert tree.split_log == alone.split_log
+            assert tree.snapshot() == alone.snapshot()
+            assert m.to_json(include_timing=False) == m_alone.to_json(include_timing=False)
+
+    def test_compare_and_sweep_open_a_path_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "d.csv")
+        schema = synth.write_csv(path, "threshold", 2000, seed=1)
+        opened = []
+        real = harness.open_stream
+        monkeypatch.setattr(harness, "open_stream", lambda *a: opened.append(a) or real(*a))
+        compare_methods(path, schema)
+        assert len(opened) == 1
+        sweep_quantiles(path, schema, [2, 8, 16])
+        assert len(opened) == 2
 
 
 def factory(xs):
