@@ -32,20 +32,24 @@ through views built on the element's first sample, not per capacity;
 they stay valid because recycling and loading write in place. Snapshots
 keep the (A, |C|, Q) and (A, |C|) nesting per element under the same
 keys; `element_doc` and `load_element` transpose. `observe` takes the
-sample's numeric values from the `numeric` float64 row that
-`SampleStream` attaches to a parsed sample's values; a list without
-one, as a library caller builds it, becomes one array. It returns the
-element's updated sample count and the sample's class count as Python
-ints, so the tree reads neither back from the arrays.
+sample's numeric values from the float64 row and its Q2.30 words that
+`SampleStream` attaches, as one pair, to a parsed sample's values; a
+list without them, as a library caller builds it, becomes one array. It
+returns the element's updated sample count and the sample's class count
+as Python ints, so the tree reads neither back from the arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
-reals enter tracker units, and in saturation. On the fixed backend one
-test per sample decides both: a sample whose values all lie in the safe
-window, at least one step inside the Q2.30 edges (every sample in
-[-1, 1] does), is rounded with no edge test and its tracker step is not
-clipped; any other sample is converted with clipping and counting, and
-its step is clipped and counted. The skipped clip could change nothing:
+reals enter tracker units, and in saturation. On the fixed backend a
+sample whose values all lie in the safe window, at least one step inside
+the Q2.30 edges, is rounded with no edge test and its tracker step is
+not clipped; any other sample is converted with clipping and counting,
+and its step is clipped and counted. A parsed row lies in [-1, 1], so
+`__init__` decides once per pool whether all of them lie in the window
+(every `lam` up to 1.0 at Q = 8; `forward_raw`); if so, an intact parsed
+row is stepped from the words the parser rounded it to, with no test and
+no conversion. Any other row takes one window test per sample, which
+decides both. The skipped clip could change nothing:
 trackers start inside Q2.30 (they are seeded at converted samples, and
 `restore` rejects a payload whose trackers do not), a step moves a
 tracker up only while it is below the sample and down only while it is
@@ -129,6 +133,7 @@ class StatsPool:
         self.capacity = capacity
         self.method = method = config.method
         self.backend = backend = config.numeric_backend
+        self.forward_raw = False  # step parsed rows from the parser's raw words
         C = schema.class_count
         self.class_count = C
         self.numeric_idx = tuple(
@@ -183,6 +188,9 @@ class StatsPool:
                 # window; the bounds are raw words scaled to exact float64s
                 self._safe_hi = (fx.RAW_MAX - int(up.max())) / fx.SCALE
                 self._safe_lo = (fx.RAW_MIN + int(down.max())) / fx.SCALE
+                # a parsed row lies in [-1, 1]: inside the window, its raw
+                # words are what the window test would round it to
+                self.forward_raw = self._safe_lo <= -1.0 and 1.0 <= self._safe_hi
             # whole (Q, A) planes, the shape of a bank, so that a step picks
             # between them element by element with nothing to broadcast
             self.step_up, self.step_down = (np.repeat(g, A, axis=1) for g in (up, down))
@@ -331,9 +339,9 @@ class StatsPool:
         self.n_fj[e, label] = cj
 
         if self.numeric_idx:
-            xv = getattr(values, "numeric", None)  # the parser's float64 row
-            if xv is None:
-                xv = np.array([values[i] for i in self.numeric_idx], dtype=np.float64)
+            # the parser's float64 row and its chunk's words, or one array built here
+            xv, words, at = getattr(values, "forwarded", None) or (
+                np.array([values[i] for i in self.numeric_idx], dtype=np.float64), None, 0)
             views = self._views.get(e)
             if views is None:
                 views = self._element_views(e)
@@ -346,6 +354,8 @@ class StatsPool:
                 edge = False
                 if self.backend == BACKEND_FLOAT:
                     xt = xv
+                elif words is not None and self.forward_raw:
+                    xt = words.row(at)
                 else:
                     xs = xv.tolist()  # Python min and max beat numpy's on a short row
                     if self._safe_lo <= min(xs) and max(xs) <= self._safe_hi:

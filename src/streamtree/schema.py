@@ -21,7 +21,8 @@ function instead; that function defines what the stream accepts, yields
 the rows before a bad one and names the bad row in its
 StreamFormatError. A block-parsed sample's values list also carries its
 numeric values as the parser's read-only float64 row, `values.numeric`,
-which the learner's statistics take as is.
+and that row's Q2.30 words, `values.raw`: the chunk's block is rounded
+once, on the first request. The learner's statistics take both as is.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
+
+from . import fixed_point as fx
 
 
 class SchemaError(ValueError):
@@ -117,20 +120,53 @@ class Sample(NamedTuple):
     label: int
 
 
+class _Words:
+    """A chunk's normalized numeric block, and its read-only Q2.30 words
+    once a row of them is first asked for: the block is rounded at most
+    once, and never for a learner that does not ask (the float backend)."""
+
+    __slots__ = ("norm", "raw")
+
+    def __init__(self, norm: np.ndarray):
+        self.norm, self.raw = norm, None
+
+    def row(self, at: int) -> np.ndarray:
+        if self.raw is None:
+            self.raw = fx.quantize_array(self.norm)  # |norm| <= 1: nothing saturates
+            self.raw.flags.writeable = False
+        return self.raw[at]
+
+
 class _Row(list):
     """A parsed sample's values that also carry its numeric values, in
-    attribute order, as the parser's read-only float64 row `numeric`, so
-    the learner need not build that array again. A change to the list
-    drops the row (sets it to None)."""
+    attribute order, as the parser's read-only rows: float64 `numeric`
+    and their Q2.30 words `raw`, so the learner need not build either
+    again. Both travel in one slot, `forwarded` = (numeric, the chunk's
+    `_Words`, row index), which is None once the list changes; a new
+    `numeric` replaces it and has no words, so no stale `raw` outlives
+    the row it came with."""
 
-    __slots__ = ("numeric",)
+    __slots__ = ("forwarded",)
+
+    @property
+    def numeric(self):
+        return None if self.forwarded is None else self.forwarded[0]
+
+    @numeric.setter
+    def numeric(self, value):
+        self.forwarded = None if value is None else (value, None, 0)
+
+    @property
+    def raw(self):
+        fwd = self.forwarded
+        return None if fwd is None or fwd[1] is None else fwd[1].row(fwd[2])
 
 
-def _drops_numeric(name: str):
+def _drops_forwarded(name: str):
     method = getattr(list, name)
 
     def mutate(self, *args, **kwargs):
-        self.numeric = None
+        self.forwarded = None
         return method(self, *args, **kwargs)
 
     mutate.__name__ = name
@@ -139,13 +175,13 @@ def _drops_numeric(name: str):
 
 for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
               "insert", "pop", "remove", "clear", "sort", "reverse"):
-    setattr(_Row, _name, _drops_numeric(_name))
+    setattr(_Row, _name, _drops_forwarded(_name))
 del _name
 
 
-def _numeric_row(values: list, numeric: np.ndarray) -> _Row:
+def _numeric_row(values: list, forwarded: tuple) -> _Row:
     row = _Row(values)
-    row.numeric = numeric
+    row.forwarded = forwarded
     return row
 
 
@@ -471,7 +507,8 @@ class _Block:
                 mixed[:, at] = part  # float64 -> float, int64 -> int
             rows = mixed.tolist()
         if self.numeric:
-            rows = map(_numeric_row, rows, norm)
+            words = zip(norm, itertools.repeat(_Words(norm)), itertools.count())
+            rows = map(_numeric_row, rows, words)
         # tuple.__new__ builds each Sample without a Python-level __new__ call
         samples = map(tuple.__new__, itertools.repeat(Sample), zip(rows, labels))
         return zip(samples, clamps)

@@ -185,7 +185,7 @@ class HoeffdingTree:
         if len(values) != self._attr_count:
             raise ValueError(f"the sample's row length {len(values)} is not the "
                              f"schema's {self._attr_count} attributes")
-        if getattr(values, "numeric", None) is None:  # not an intact parsed row
+        if getattr(values, "forwarded", None) is None:  # not an intact parsed row
             self._check_numeric(values)
         for i, card in self._code_ranges:
             code = values[i]
