@@ -218,6 +218,8 @@ def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
     one = DatasetSchema((spec,), 2)
     qpool = StatsPool(one, config, 1)
     gpool = StatsPool(one, replace(config, method=METHOD_GAUSSIAN), 1)
+    qpool.alloc()  # element 0 of each, which every sample goes to
+    gpool.alloc()
     values = []
     for s in _open(source, schema):
         x = [float(s.values[attr])]

@@ -3,11 +3,15 @@
 All statistics for every leaf live in preallocated arrays indexed by
 element first, so memory is bounded by capacity however the tree grows.
 The pool owns an element's lifecycle: `alloc` pops a dense integer id off
-a LIFO free list; `release` resets the element's slices, counts the
-recycling in `generation` and pushes the id back. A leaf holds its id and
-nothing else: the tree reads the arrays directly, with no per-access
-guard. The pool checks its live elements (`validate`) and writes and reads
-its snapshot section; it is built from a validated `TreeConfig`.
+a LIFO free list and sets the element's `min_a`/`max_a` rows to (inf,
+-inf); `release` resets the element's slices, counts the recycling in
+`generation` and pushes the id back. Every array, the range rows
+included, is allocated as zeros that the OS maps on first write, so a
+pool costs memory for the elements handed out, not for its capacity. A
+leaf holds its id and nothing else: the tree reads the arrays directly,
+with no per-access guard. The pool checks its live elements (`validate`)
+and writes and reads its snapshot section; it is built from a validated
+`TreeConfig`.
 
 Numeric attributes carry either a bank of quantile trackers per class or
 an incremental Gaussian per class, never both. Each tracker follows the
@@ -31,7 +35,11 @@ down planes with nothing to broadcast, or a Welford update on (A,) rows.
 through views built on the element's first sample, not per capacity;
 they stay valid because recycling and loading write in place. Snapshots
 keep the (A, |C|, Q) and (A, |C|) nesting per element under the same
-keys; `element_doc` and `load_element` transpose. `observe` takes the
+keys. `snapshot_doc` writes all live elements at once: per key, one block
+of their rows, transposed into that nesting, and one `tolist()`.
+`load_snapshot_doc` reads them back with one conversion, one shape check
+and one store per key; `element_doc` and `load_element` are the
+one-element case of the same code. `observe` takes the
 sample's numeric values from the float64 row and its Q2.30 words that
 `SampleStream` attaches, as one pair, to a parsed sample's values; a
 list without them, as a library caller builds it, becomes one array. It
@@ -115,14 +123,27 @@ def int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def load_slot(slot: np.ndarray, vals, key: str) -> None:
-    """Write JSON `vals` into `slot`, or raise ValueError naming `key`."""
-    v = (int_array(vals, key) if slot.dtype.kind == "i"
-         else np.asarray(vals, dtype=np.float64))
-    if v.shape == slot.shape:
-        slot[...] = v
-    elif slot.size or v.shape != (0,):  # tolist() writes an empty slot as []
-        raise ValueError(f"{key} has shape {v.shape}, expected {slot.shape}")
+def json_block(vals, shape: tuple, key: str, is_int: bool) -> np.ndarray:
+    """JSON `vals` as an int64 or float64 array of `shape`, or raise
+    ValueError naming `key`."""
+    v = int_array(vals, key) if is_int else np.asarray(vals, dtype=np.float64)
+    if v.shape != shape:
+        # tolist() writes an empty array's nesting down to its first 0 axis
+        if 0 not in shape or v.shape != shape[:shape.index(0) + 1]:
+            raise ValueError(f"{key} has shape {v.shape}, expected {shape}")
+        v = v.reshape(shape)
+    return v
+
+
+def json_column(vals: list, shape: tuple, key: str, is_int: bool) -> np.ndarray:
+    """The JSON values of len(vals) elements, each of `shape`, as one array;
+    a value that does not fit raises `json_block`'s error for that element."""
+    try:
+        return json_block(vals, (len(vals), *shape), key, is_int)
+    except ValueError:
+        # ragged or mistyped: element by element, so the error names the
+        # element's own shape
+        return np.stack([json_block(v, shape, key, is_int) for v in vals])
 
 
 class StatsPool:
@@ -155,8 +176,9 @@ class StatsPool:
         self.generation = np.zeros(capacity, dtype=np.int64)
         self.n_f = np.zeros(capacity, dtype=np.int64)
         self.n_fj = np.zeros((capacity, C), dtype=np.int64)
-        self.min_a = np.full((capacity, A), np.inf)
-        self.max_a = np.full((capacity, A), -np.inf)
+        # set element by element by `alloc`
+        self.min_a = np.zeros((capacity, A))
+        self.max_a = np.zeros((capacity, A))
         self.hist = np.zeros((capacity, sum(cards), C), dtype=np.int64)
         # Every per-element statistic, by snapshot key, with the value a
         # recycled element holds.
@@ -204,9 +226,18 @@ class StatsPool:
             for key, arr in (("g_mean", self.g_mean), ("g_vsum", self.g_vsum)):
                 self.element_arrays[key] = (arr, 0.0)
                 doc_axes[key] = (1, 0)  # (|C|, A) -> (A, |C|)
-        # every statistic but "hists", which the snapshot splits per attribute
-        self._doc_keys = [(key, arr, doc_axes.get(key))
-                          for key, (arr, _) in self.element_arrays.items() if key != "hists"]
+        # Every statistic but "hists", which the snapshot splits per
+        # attribute: its key and array, the axes that turn a block of
+        # elements' rows into the snapshot nesting and back, and one
+        # element's shape in that nesting.
+        self._doc_keys = []
+        for key, (arr, _) in self.element_arrays.items():
+            if key != "hists":
+                axes = doc_axes.get(key, range(arr.ndim - 1))
+                to_doc = (0, *(a + 1 for a in axes))
+                from_doc = tuple(to_doc.index(a) for a in range(arr.ndim))
+                shape = tuple(arr.shape[a] for a in to_doc[1:])
+                self._doc_keys.append((key, arr, to_doc, from_doc, shape))
 
         self.saturation_count = 0
         # element -> views of its rows (`_element_views`), built on its first
@@ -221,7 +252,10 @@ class StatsPool:
     def alloc(self) -> int:
         if not self.free_list:
             raise RuntimeError("element pool exhausted")
-        return self.free_list.pop()
+        e = self.free_list.pop()
+        self.min_a[e] = np.inf
+        self.max_a[e] = -np.inf
+        return e
 
     def release(self, e: int) -> None:
         """Recycle element e: reset its statistics in place, count it, free its id."""
@@ -231,7 +265,10 @@ class StatsPool:
         self.free_list.append(e)
 
     def live_elements(self) -> list[int]:
-        return sorted(set(range(self.capacity)) - set(self.free_list))
+        """The allocated ids, ascending."""
+        live = np.ones(self.capacity, dtype=bool)
+        live[self.free_list] = False
+        return np.flatnonzero(live).tolist()
 
     def validate(self, live: list) -> None:
         """Check the live leaves' ids, the free list and the live elements'
@@ -275,7 +312,8 @@ class StatsPool:
 
     def snapshot_doc(self) -> dict:
         """The pool's snapshot section, by key."""
-        return {"elements": {str(e): self.element_doc(e) for e in self.live_elements()},
+        live = self.live_elements()
+        return {"elements": dict(zip(map(str, live), self._element_docs(live))),
                 "free_list": list(self.free_list), "generations": self.generation.tolist()}
 
     @staticmethod
@@ -287,31 +325,55 @@ class StatsPool:
             raise ValueError(f"generations has shape {np.shape(generations)}, "
                              f"expected ({capacity},)")
 
-    def load_snapshot_doc(self, doc: dict) -> None:
-        """Load doc's pool section; `load_slot` checks types and shapes, `validate` the rest."""
-        load_slot(self.generation, doc["generations"], "generations")
+    def load_snapshot_doc(self, doc: dict) -> list[int]:
+        """Load doc's pool section and return the element ids its statistics
+        are keyed by; `json_block` checks types and shapes, `validate` the rest."""
+        self.generation[...] = json_block(doc["generations"], self.generation.shape,
+                                          "generations", True)
         self.free_list = list(doc["free_list"])
-        if type(doc["elements"]) is not dict:
+        elements = doc["elements"]
+        if type(elements) is not dict:
             raise ValueError("elements is not an object")
-        for key, el_doc in doc["elements"].items():
-            self.load_element(int(key), el_doc)
+        ids = []
+        for key in elements:
+            e = int(key) if key.isascii() and key.isdigit() else None
+            # only str(e) names e, so no two keys name one element
+            if e is None or str(e) != key or e >= self.capacity:
+                raise ValueError(f"element key {key!r} is not an element id "
+                                 f"in 0..{self.capacity - 1}")
+            ids.append(e)
+        self._load_elements(ids, list(elements.values()))
+        return ids
 
     def element_doc(self, e: int) -> dict:
-        """Element e's statistics as JSON-ready lists, by snapshot key;
-        "hists" holds one (cardinality, |C|) list per attribute."""
-        doc = {key: (arr[e] if axes is None else arr[e].transpose(axes)).tolist()
-               for key, arr, axes in self._doc_keys}
-        doc["hists"] = [self.hist[e, rows].tolist() for rows in self._cat_rows]
-        return doc
+        """Element e's statistics as JSON-ready lists, by snapshot key."""
+        return self._element_docs([e])[0]
 
     def load_element(self, e: int, doc: dict) -> None:
-        """Overwrite element e's statistics from an `element_doc` dict; raises
-        ValueError for a value whose type or shape does not fit its slot."""
-        for key, arr, axes in self._doc_keys:
-            # a view in the snapshot's nesting, 0-d for n_f
-            load_slot(arr[e, ...] if axes is None else arr[e].transpose(axes), doc[key], key)
-        for rows, table in zip(self._cat_rows, doc["hists"], strict=True):
-            load_slot(self.hist[e, rows], table, "hists")
+        """Overwrite element e's statistics from an `element_doc` dict."""
+        self._load_elements([e], [doc])
+
+    def _element_docs(self, live: list[int]) -> list[dict]:
+        """The statistics of elements `live` as JSON-ready dicts by snapshot
+        key, one `tolist()` per key; "hists" holds one (cardinality, |C|)
+        list per attribute."""
+        keys = [key for key, *_ in self._doc_keys]
+        columns = [arr[live].transpose(to_doc).tolist() for _, arr, to_doc, _, _ in self._doc_keys]
+        hists = [self.hist[live, rows].tolist() for rows in self._cat_rows]
+        return [dict(zip(keys, values), hists=tables)
+                for values, *tables in zip(zip(*columns), *hists)]
+
+    def _load_elements(self, ids: list[int], docs: list) -> None:
+        """Overwrite elements `ids` from their `element_doc` dicts, one
+        conversion, shape check and store per key; raises ValueError naming
+        the key for a value whose type or shape does not fit its slot."""
+        for key, arr, _, from_doc, shape in self._doc_keys:
+            arr[ids] = json_column([d[key] for d in docs], shape, key,
+                                   arr.dtype.kind == "i").transpose(from_doc)
+        hists = (d["hists"] for d in docs)
+        for rows, *tables in zip(self._cat_rows, *hists, strict=True):
+            shape = (rows.stop - rows.start, self.class_count)
+            self.hist[ids, rows] = json_column(tables, shape, "hists", True)
 
     def _to_tracker_units(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Reals in tracker units, with how many saturated on the way."""

@@ -194,12 +194,17 @@ def _typed(value, types: tuple, what: str):
 
 
 def parse_schema(text: str) -> DatasetSchema:
-    """Build a DatasetSchema from its JSON description. A field of the
-    wrong JSON type raises SchemaError; none is coerced."""
+    """Build a DatasetSchema from its JSON description (`schema_from_doc`)."""
     try:
         doc = json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an int past the digit limit
         raise SchemaError(f"schema is not valid JSON: {e}") from None
+    return schema_from_doc(doc)
+
+
+def schema_from_doc(doc) -> DatasetSchema:
+    """Build a DatasetSchema from its decoded JSON description. A field of
+    the wrong JSON type raises SchemaError; none is coerced."""
     if not isinstance(doc, dict):
         raise SchemaError("schema root must be an object")
     try:
@@ -245,6 +250,11 @@ def load_schema(path: str) -> DatasetSchema:
 
 
 def schema_to_json(schema: DatasetSchema) -> str:
+    return json.dumps(schema_doc(schema), indent=2, sort_keys=True)
+
+
+def schema_doc(schema: DatasetSchema) -> dict:
+    """The JSON description of `schema`, decoded: `schema_from_doc`'s input."""
     attrs = []
     for a in schema.attributes:
         if a.kind == NUMERIC:
@@ -253,13 +263,12 @@ def schema_to_json(schema: DatasetSchema) -> str:
         else:
             attrs.append({"name": a.name, "kind": a.kind,
                           "cardinality": a.cardinality})
-    doc = {
+    return {
         "attributes": attrs,
         "classes": schema.class_count,
         "label_column": schema.label_column,
         "has_header": schema.has_header,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def normalize(raw: float, spec: AttributeSpec) -> float:

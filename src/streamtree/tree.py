@@ -39,7 +39,7 @@ from .leaf_stats import (
     StatsPool,
     int_array,
 )
-from .schema import CATEGORICAL, DatasetSchema, Sample, parse_schema, schema_to_json
+from .schema import CATEGORICAL, DatasetSchema, Sample, schema_doc, schema_from_doc
 
 SNAPSHOT_FORMAT = "streamtree-snapshot"
 SNAPSHOT_VERSION = 1
@@ -432,7 +432,7 @@ class HoeffdingTree:
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "config": vars(self.config),
-            "schema": json.loads(schema_to_json(self.schema)),
+            "schema": schema_doc(self.schema),
             "tree": self._node_to_doc(self.root),
             **self.stats.snapshot_doc(),
             # the depth and pool counters follow from the tree and free list
@@ -478,17 +478,18 @@ def restore(payload: bytes) -> HoeffdingTree:
         raise SnapshotError(f"snapshot payload is not valid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError("payload is not a tree snapshot")
-    if doc.get("version") != SNAPSHOT_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != SNAPSHOT_VERSION:  # not True, not 1.0
         raise SnapshotError(
-            f"snapshot version {doc.get('version')!r} not supported "
+            f"snapshot version {version!r} not supported "
             f"(expected {SNAPSHOT_VERSION})"
         )
     try:
-        schema = parse_schema(json.dumps(doc["schema"]))
+        schema = schema_from_doc(doc["schema"])
         config = TreeConfig(**doc["config"])
         StatsPool.check_snapshot_size(doc, config.max_leaves)  # before allocating
         tree = HoeffdingTree(schema, config)
-        tree.stats.load_snapshot_doc(doc)
+        ids = tree.stats.load_snapshot_doc(doc)
         tree.root = _node_from_doc(doc["tree"], tree)
         counters = doc["counters"]
         tree.train_count = counters["trained"]
@@ -499,7 +500,7 @@ def restore(payload: bytes) -> HoeffdingTree:
         tree.trial_count = counters["trials"]
         tree.stats.saturation_count = counters["saturations"]
         tree.validate()
-        if sorted(int(k) for k in doc["elements"]) != tree.stats.live_elements():
+        if sorted(ids) != tree.stats.live_elements():
             raise ValueError("element statistics do not match the leaves' elements")
         return tree
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as e:

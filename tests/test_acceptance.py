@@ -119,6 +119,7 @@ def test_c04_tracker_convergence():
     schema = DatasetSchema((AttributeSpec("u", "numeric", 0.0, 1.0),
                             AttributeSpec("n", "numeric", -1.0, 1.0)), 2)
     pool = StatsPool(schema, TreeConfig(), 1)
+    assert pool.alloc() == 0
     for row in np.column_stack([xs, ys]).tolist():
         pool.observe(0, row, 0)
     assert pool.trackers[0, 0, :, 0].tolist() == qx
@@ -149,6 +150,7 @@ def test_c05_incremental_gaussian_oracle():
     schema = DatasetSchema(tuple(AttributeSpec(f"x{k}", "numeric", -1.0, 1.0)
                                  for k in range(len(streams))), 2)
     pool = StatsPool(schema, TreeConfig(method="gaussian"), 1)
+    assert pool.alloc() == 0
     means = np.empty(len(streams))
     vsums = np.empty(len(streams))
     chunk = 500
@@ -306,7 +308,7 @@ def test_c08_partition_oracle_small_streams(seed, shape):
     """
     rng = np.random.default_rng(seed)
     pool = StatsPool(PARTITION_SCHEMA, TreeConfig(quantile_count=8, lam=0.03), 4)
-    e = 0
+    e = pool.alloc()
     xs = {0: [], 1: []}
     for _ in range(500):
         x, label = _partition_stream(rng, shape)

@@ -22,6 +22,7 @@ ONE = DatasetSchema((AttributeSpec("x", "numeric", declared_min=-1.0, declared_m
 def fit(xs):
     """A one-element gaussian pool fed xs in order under class 0."""
     pool = StatsPool(ONE, TreeConfig(method="gaussian"), 1)
+    assert pool.alloc() == 0
     for x in xs:
         pool.observe(0, [float(x)], 0)
     return pool

@@ -26,8 +26,11 @@ MIXED = DatasetSchema(
 )
 
 
-def make_pool(schema=TWO_NUM, capacity=4, backend="float", **kw):
-    return StatsPool(schema, TreeConfig(numeric_backend=backend, **kw), capacity)
+def make_pool(schema=TWO_NUM, capacity=4, backend="float", live=1, **kw):
+    """A pool whose elements 0..live-1 are allocated; most tests observe 0."""
+    pool = StatsPool(schema, TreeConfig(numeric_backend=backend, **kw), capacity)
+    assert [pool.alloc() for _ in range(live)] == list(range(live))
+    return pool
 
 
 def observe(pool, e, s):
@@ -322,14 +325,14 @@ def third_id(pool):
 
 class TestRecycling:
     def test_ids_come_out_in_order_and_run_out(self):
-        pool = make_pool(MIXED, capacity=3)
+        pool = make_pool(MIXED, capacity=3, live=0)
         third_id(pool)
         assert pool.allocated_count == 3 and pool.live_elements() == [0, 1, 2]
         with pytest.raises(RuntimeError, match="element pool exhausted"):
             pool.alloc()
 
     def test_release_frees_the_id_and_counts_a_generation(self):
-        pool = make_pool(MIXED)
+        pool = make_pool(MIXED, live=0)
         e = third_id(pool)
         pool.release(1)
         assert pool.free_list[-1] == 1 and pool.live_elements() == [0, e]
@@ -337,7 +340,7 @@ class TestRecycling:
         assert pool.alloc() == 1  # last in, first out
 
     def test_reset_clears_everything(self):
-        pool = make_pool(MIXED)
+        pool = make_pool(MIXED, live=0)
         e = third_id(pool)
         for _ in range(10):
             observe(pool, e, Sample([0.5, 1], 1))
@@ -350,12 +353,12 @@ class TestRecycling:
 
     @pytest.mark.parametrize("kw", [{}, {"backend": "fixed"}, {"method": "gaussian"}])
     def test_reset_matches_a_fresh_element(self, kw):
-        pool = make_pool(MIXED, **kw)
+        pool = make_pool(MIXED, live=0, **kw)
         e = third_id(pool)
         for x, c, y in ((0.5, 1, 1), (-0.3, 2, 0), (0.9, 1, 1)):
             observe(pool, e, Sample([x, c], y))
         pool.release(e)
-        assert pool.element_doc(2) == make_pool(MIXED, **kw).element_doc(2)
+        assert pool.element_doc(2) == make_pool(MIXED, live=3, **kw).element_doc(2)
 
 
 POOL_KINDS = [{}, {"backend": "fixed"}, {"method": "gaussian"}]
@@ -378,7 +381,7 @@ class TestElementViews:
 
     @pytest.mark.parametrize("kw", POOL_KINDS)
     def test_observe_after_reset_matches_a_fresh_pool(self, kw):
-        pool, fresh = make_pool(MIXED, **kw), make_pool(MIXED, **kw)
+        pool, fresh = make_pool(MIXED, live=0, **kw), make_pool(MIXED, live=3, **kw)
         third_id(pool)
         for s in stream(1):
             observe(pool, 2, s)
@@ -390,7 +393,7 @@ class TestElementViews:
 
     @pytest.mark.parametrize("kw", POOL_KINDS)
     def test_observe_after_load_matches_a_fresh_pool(self, kw):
-        source, pool, fresh = (make_pool(MIXED, **kw) for _ in range(3))
+        source, pool, fresh = (make_pool(MIXED, live=2, **kw) for _ in range(3))
         for s in stream(3):
             observe(source, 0, s)
             observe(fresh, 1, s)

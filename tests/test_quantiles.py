@@ -17,7 +17,9 @@ ONE = DatasetSchema((AttributeSpec("x", "numeric", declared_min=-1.0, declared_m
 def bank_pool(count=8, lam=0.01, attrs=1):
     """A one-element quantile pool over `attrs` numeric attributes."""
     schema = DatasetSchema(ONE.attributes * attrs, 2)
-    return StatsPool(schema, TreeConfig(quantile_count=count, lam=lam), 1)
+    pool = StatsPool(schema, TreeConfig(quantile_count=count, lam=lam), 1)
+    assert pool.alloc() == 0
+    return pool
 
 
 def pool_at(values, lam=0.01):

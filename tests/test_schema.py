@@ -18,6 +18,8 @@ from streamtree.schema import (
     normalize,
     open_stream,
     parse_schema,
+    schema_doc,
+    schema_from_doc,
     schema_to_json,
 )
 
@@ -118,6 +120,11 @@ class TestParseSchema:
         schema = parse_schema(TWO_NUM_ONE_CAT)
         again = parse_schema(schema_to_json(schema))
         assert again == schema
+        # the snapshot embeds the decoded form, with the same checks
+        assert schema_from_doc(schema_doc(schema)) == schema
+        assert json.loads(schema_to_json(schema)) == schema_doc(schema)
+        with pytest.raises(SchemaError, match="schema root must be an object"):
+            schema_from_doc([schema_doc(schema)])
 
 
 class TestNormalize:

@@ -188,6 +188,7 @@ TWO_NUM = DatasetSchema(
 def fill_element(schema, samples):
     """A pool whose element 0 has observed samples."""
     pool = StatsPool(schema, TreeConfig(), 2)
+    assert pool.alloc() == 0
     for s in samples:
         pool.observe(0, s.values, s.label)
     return pool

@@ -213,6 +213,7 @@ def leaves(draw, method):
         r_range=draw(st.sampled_from([0.05, 1.0])),
     )
     pool = StatsPool(schema, config, 1)
+    assert pool.alloc() == 0
     for s in samples:
         pool.observe(0, s.values, s.label)
     return pool, config
@@ -253,6 +254,7 @@ def test_duplicated_columns_tie_like_the_oracle():
             for i in range(3)), 3)
         config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
         pool = StatsPool(schema, config, 1)
+        assert pool.alloc() == 0
         for _ in range(300):
             y = int(rng.integers(0, 3))
             x = float(rng.normal(0.6 * y - 0.6, 0.1))
@@ -273,6 +275,7 @@ def test_many_attributes_and_classes_match_oracle():
     for method in METHODS.values():
         config = TreeConfig(method=method["method"], numeric_backend=method["backend"])
         pool = StatsPool(schema, config, 2)
+        assert (pool.alloc(), pool.alloc()) == (0, 1)
         for _ in range(2000):
             y = int(rng.integers(0, 9))
             row = rng.normal(0.05 * y, 0.3, 54)

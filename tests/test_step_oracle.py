@@ -126,6 +126,7 @@ def test_fixed_observe_matches_always_saturating_oracle(stream, lam, quantile_co
     schema = DatasetSchema(TWO_NUM.attributes, 3)
     pool = StatsPool(schema, TreeConfig(quantile_count=quantile_count, lam=lam,
                                         numeric_backend="fixed"), 1)
+    assert pool.alloc() == 0
     oracle = OracleElement(2, 3, quantile_count, lam)
     for x0, x1, y in stream:
         pool.observe(0, [x0, x1], y)
@@ -162,6 +163,7 @@ def test_only_edge_samples_clip_the_step(monkeypatch):
               ([0.0, -1.9], 0, True), ([0.0, -1.95], 0, True),
               ([1.0, -1.0], 0, False), ([0.25, -0.75], 1, False)]
     pool = StatsPool(TWO_NUM, TreeConfig(lam=1.0, numeric_backend="fixed"), 1)
+    assert pool.alloc() == 0
     oracle = OracleElement(2, 2, 8, 1.0)
     for xs, y, edge in stream:
         before = len(calls)
@@ -175,6 +177,7 @@ def test_only_edge_samples_clip_the_step(monkeypatch):
 
 def test_observe_returns_the_counts():
     pool = StatsPool(TWO_NUM, TreeConfig(), 2)
+    assert (pool.alloc(), pool.alloc()) == (0, 1)
     assert pool.observe(1, [0.1, 0.2], 1) == (1, 1)
     assert pool.observe(1, [0.1, 0.2], 0) == (2, 1)
     n, c = pool.observe(1, [0.1, 0.2], 1)

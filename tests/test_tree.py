@@ -1,8 +1,12 @@
 """Tree induction: routing, pool accounting, freezing, and snapshots."""
 
+import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -375,6 +379,13 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="version"):
             restore(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_equal_to_1_but_not_the_int(self, version):
+        doc = json.loads(new_tree(TWO_NUM).snapshot())
+        doc["version"] = version
+        with pytest.raises(SnapshotError, match=f"version {version!r} not supported"):
+            restore(json.dumps(doc).encode())
+
     def test_not_a_snapshot(self):
         with pytest.raises(SnapshotError):
             restore(b'{"hello": "world"}')
@@ -406,6 +417,78 @@ class TestSnapshot:
         assert tree.split_count > 0
         assert restore(tree.snapshot()).snapshot() == tree.snapshot()
 
+    @pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+    @pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(numeric_backend="fixed"),
+                                     TreeConfig(method="gaussian")],
+                             ids=["quantile-float", "quantile-fixed", "gaussian"])
+    def test_pool_section_is_every_live_element_doc(self, preset, cfg):
+        # the section is written for all live elements at once, and
+        # element_doc is its one-element case
+        tree = new_tree(synth.preset_schema(preset), cfg)
+        tree.train(synth.generate(preset, 3000, seed=5))
+        stats = tree.stats
+        live = stats.live_elements()
+        elements = stats.snapshot_doc()["elements"]
+        assert list(elements) == [str(e) for e in live]
+        for e in live:
+            assert elements[str(e)] == stats.element_doc(e)
+        payload = tree.snapshot()
+        assert restore(payload).snapshot() == payload
+
+
+HWM_AROUND_RESTORE = """
+import sys
+from streamtree import restore
+
+def vm_hwm_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+with open(sys.argv[1], "rb") as fh:
+    payload = fh.read()
+before = vm_hwm_kb()
+restore(payload)
+print(vm_hwm_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_restore_costs_live_elements_not_capacity(tmp_path):
+    # a covtype-shaped pool of 50,000 elements with one live: its range
+    # rows alone would take 43 MB if they were filled over the capacity
+    schema = DatasetSchema(tuple(AttributeSpec(f"a{i}", "numeric", declared_min=-1.0,
+                                               declared_max=1.0) for i in range(54)), 7)
+    doc = json.loads(new_tree(schema, TreeConfig(max_leaves=2)).snapshot())
+    capacity = 50_000
+    doc["config"]["max_leaves"] = capacity
+    doc["free_list"] = list(range(capacity - 1, 0, -1))
+    doc["generations"] = [0] * capacity
+    path = tmp_path / "snapshot.json"
+    path.write_bytes(json.dumps(doc).encode())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tree_module.__file__)))
+    out = subprocess.run([sys.executable, "-c", HWM_AROUND_RESTORE, str(path)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) < 20_000  # kB
+
+
+@functools.cache
+def xor_payload() -> bytes:
+    """A snapshot of a tree capped at 16 leaves and depth 3 after 10,000
+    xor samples: it has frozen leaves, free elements and live ones."""
+    tree = new_tree(TWO_NUM, TreeConfig(max_leaves=16, max_depth=3))
+    tree.train(synth.generate("xor", 10_000, seed=3))
+    return tree.snapshot()
+
+
+@functools.cache
+def fixed_categorical_payload() -> bytes:
+    """A fixed-backend snapshot over a categorical attribute: its trackers
+    (`qraw`) and `hists` are int arrays."""
+    tree = new_tree(synth.preset_schema("categorical"), TreeConfig(numeric_backend="fixed"))
+    tree.train(synth.generate("categorical", 2000, seed=3))
+    return tree.snapshot()
+
 
 def leaf_docs(node):
     if node["kind"] == "internal":
@@ -424,11 +507,9 @@ class TestSnapshotValidation:
 
     def doc(self):
         # small caps so the snapshot has frozen leaves and free elements
-        tree = new_tree(TWO_NUM, TreeConfig(max_leaves=16, max_depth=3))
-        tree.train(synth.generate("xor", 10_000, seed=3))
-        doc = json.loads(tree.snapshot())
+        doc = json.loads(xor_payload())
         assert doc["counters"]["frozen_leaves"] > 0 and doc["free_list"]
-        assert len(self.live_leaves(doc)) >= 2
+        assert len(self.live_leaves(doc)) >= 3
         return doc
 
     def live_leaves(self, doc):
@@ -496,6 +577,25 @@ class TestSnapshotValidation:
         doc = json.loads(new_tree(TWO_NUM).snapshot())
         doc["elements"] = {"1": doc["elements"]["0"]}
         self.rejects(doc, "element statistics do not match the leaves' elements")
+
+    @pytest.mark.parametrize("spell", [
+        lambda e: f"0{e}", lambda e: f" {e} ", lambda e: f"+{e}", lambda e: f"0_{e}",
+        lambda e: str(e).translate({ord("0") + d: 0x660 + d for d in range(10)}),
+    ], ids=["leading-zero", "spaces", "plus", "underscore", "arabic-indic-digits"])
+    def test_element_key_not_the_id_as_written(self, spell):
+        # int() reads each of these as the id; restored, the tree would
+        # snapshot to other bytes
+        doc = self.doc()
+        e = self.live_leaves(doc)[0]["element"]
+        key = spell(e)
+        assert int(key) == e
+        doc["elements"][key] = doc["elements"].pop(str(e))
+        self.rejects(doc, f"element key {re.escape(repr(key))} is not an element id in 0..15")
+
+    def test_element_key_past_capacity(self):
+        doc = self.doc()
+        doc["elements"]["16"] = doc["elements"].pop(str(self.live_leaves(doc)[0]["element"]))
+        self.rejects(doc, "element key '16' is not an element id in 0..15")
 
     def test_element_statistics_not_an_object(self):
         doc = self.doc()
@@ -633,16 +733,18 @@ class TestSnapshotValidation:
     SPOILS = pytest.mark.parametrize("spoil", [lambda v: v + 0.5, float, bool],
                                      ids=["half", "float", "bool"])
 
-    def element(self, doc):
-        return doc["elements"][str(self.live_leaves(doc)[0]["element"])]
+    # restore loads every live element's statistics at once, in the
+    # payload's order; a fault must be found wherever it sits in that order
+    AT = ("first", "middle", "last")
+
+    def element(self, doc, at="first"):
+        """The statistics of the first, a middle or the last live element
+        in the payload's order."""
+        keys = list(doc["elements"])
+        return doc["elements"][keys[{"first": 0, "middle": len(keys) // 2, "last": -1}[at]]]
 
     def fixed_categorical_doc(self):
-        """A fixed-backend payload over a categorical attribute: its
-        trackers (`qraw`) and `hists` are int arrays."""
-        tree = new_tree(synth.preset_schema("categorical"),
-                        TreeConfig(numeric_backend="fixed"))
-        tree.train(synth.generate("categorical", 2000, seed=3))
-        return json.loads(tree.snapshot())
+        return json.loads(fixed_categorical_payload())
 
     @SPOILS
     def test_generation_not_an_int(self, spoil):
@@ -659,31 +761,35 @@ class TestSnapshotValidation:
 
     @SPOILS
     def test_element_total_not_an_int(self, spoil):
-        doc = self.doc()
-        el = self.element(doc)
-        el["n_f"] = spoil(el["n_f"])
-        self.rejects(doc, "n_f holds a value that is not an int")
+        for at in self.AT:
+            doc = self.doc()
+            el = self.element(doc, at)
+            el["n_f"] = spoil(el["n_f"])
+            self.rejects(doc, "n_f holds a value that is not an int")
 
     @SPOILS
     def test_class_count_not_an_int(self, spoil):
-        doc = self.doc()
-        counts = self.element(doc)["n_fj"]
-        counts[0] = spoil(counts[0])
-        self.rejects(doc, "n_fj holds a value that is not an int")
+        for at in self.AT:
+            doc = self.doc()
+            counts = self.element(doc, at)["n_fj"]
+            counts[0] = spoil(counts[0])
+            self.rejects(doc, "n_fj holds a value that is not an int")
 
     @SPOILS
     def test_histogram_count_not_an_int(self, spoil):
-        doc = self.fixed_categorical_doc()
-        hist = self.element(doc)["hists"][0]
-        hist[0][0] = spoil(hist[0][0])
-        self.rejects(doc, "hists holds a value that is not an int")
+        for at in self.AT:
+            doc = self.fixed_categorical_doc()
+            hist = self.element(doc, at)["hists"][0]
+            hist[0][0] = spoil(hist[0][0])
+            self.rejects(doc, "hists holds a value that is not an int")
 
     @SPOILS
     def test_fixed_tracker_not_an_int(self, spoil):
-        doc = self.fixed_categorical_doc()
-        trackers = self.element(doc)["qraw"]
-        trackers[0][0][0] = spoil(trackers[0][0][0])
-        self.rejects(doc, "qraw holds a value that is not an int")
+        for at in self.AT:
+            doc = self.fixed_categorical_doc()
+            trackers = self.element(doc, at)["qraw"]
+            trackers[0][0][0] = spoil(trackers[0][0][0])
+            self.rejects(doc, "qraw holds a value that is not an int")
 
     @pytest.mark.parametrize("key", ["qvals", "g_mean", "g_vsum"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -743,21 +849,25 @@ class TestSnapshotValidation:
     @pytest.mark.parametrize("key, value", [("qvals", 0.25), ("min_a", [-0.9]),
                                             ("n_fj", [[3, 4]])])
     def test_statistic_of_the_wrong_shape(self, key, value):
-        # numpy would broadcast each of these into the slot
-        doc = self.doc()
-        self.element(doc)[key] = value
-        self.rejects(doc, f"{key} has shape")
+        # numpy would broadcast each of these into the slot; the error
+        # gives the element's own shape
+        for at in self.AT:
+            doc = self.doc()
+            self.element(doc, at)[key] = value
+            self.rejects(doc, re.escape(f"{key} has shape {np.shape(value)}"))
 
     def test_histogram_of_the_wrong_shape(self):
-        doc = self.fixed_categorical_doc()
-        hists = self.element(doc)["hists"]
-        hists[0] = hists[0][0]  # one code's (|C|,) counts for the whole table
-        self.rejects(doc, "hists has shape")
+        for at in self.AT:
+            doc = self.fixed_categorical_doc()
+            hists = self.element(doc, at)["hists"]
+            hists[0] = hists[0][0]  # one code's (|C|,) counts for the whole table
+            self.rejects(doc, re.escape(f"hists has shape {np.shape(hists[0])}"))
 
     def test_histogram_for_too_few_attributes(self):
-        doc = self.fixed_categorical_doc()
-        self.element(doc)["hists"] = []
-        self.rejects(doc, "shorter")
+        for at in self.AT:
+            doc = self.fixed_categorical_doc()
+            self.element(doc, at)["hists"] = []
+            self.rejects(doc, "shorter")
 
     def test_count_too_large_for_int64(self):
         doc = self.doc()
