@@ -5,14 +5,14 @@ range [-2, 2 - 2**-30], resolution 2**-30. Overflow saturates to the range
 edge instead of wrapping, at any finite magnitude (2.5, 1e10 and 1e300
 all give RAW_MAX). Raw words are int64 arrays, read back as `raw / SCALE`;
 there are no scalar copies. The fixed numeric backend keeps its quantile
-trackers as raw words: `float_to_raw_array` brings samples, split points
-and gains into tracker units, clipping only when a value saturates.
-`quantize_array` rounds values known to lie inside: the CSV parser
-rounds each chunk's normalized block with it (once, when the learner
-first asks for a row's words), and `leaf_stats` a sample inside its
-safe window that did not come with the parser's words.
-`mul_raw_array` forms the tracker steps, and `saturate_raw_array` clips a
-step toward a sample within one step of the edge (see `leaf_stats`).
+trackers as raw words and steps them toward samples in [-1, 1], whose
+words never saturate: `quantize_array` rounds those with no edge test (the CSV parser rounds
+each chunk's normalized block with it, once, when the learner first asks
+for a row's words; `leaf_stats` a hand-built sample). `float_to_raw_array`
+brings split points and gains into tracker units, clipping only when a
+value saturates. `mul_raw_array` forms the tracker steps, and
+`saturate_raw_array` clips a step when the gain makes steps long enough
+to leave Q2.30 (see `leaf_stats`).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ import numpy as np
 
 from .gaussian import normal_cdf
 from .leaf_stats import METHOD_GAUSSIAN, StatsPool
-from .schema import NUMERIC, DatasetSchema, Sample, open_stream
+from .schema import NUMERIC, DatasetSchema, Sample, domain_problem, open_stream
 from .tree import HoeffdingTree, TreeConfig, new_tree
 
 StreamSource = Union[str, Callable[[], Iterable[Sample]]]
@@ -205,7 +205,7 @@ def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
 
     The estimators are the learner's own: a one-element quantile pool and
     a one-element Gaussian pool over a one-attribute schema, every sample
-    under class 0.
+    under class 0. A value the tree would refuse raises its ValueError.
     """
     if not 0 <= attr < schema.attr_count:  # a negative index would pick another attribute
         raise ValueError(f"attribute index {attr} outside 0..{schema.attr_count - 1}")
@@ -222,6 +222,9 @@ def export_cdf_comparison(source: StreamSource, schema: DatasetSchema,
     gpool.alloc()
     values = []
     for s in _open(source, schema):
+        problem = domain_problem(s.values[attr])
+        if problem:
+            raise ValueError(f"attribute {attr} ({spec.name!r}) {problem}")
         x = [float(s.values[attr])]
         qpool.observe(0, x, 0)
         gpool.observe(0, x, 0)

@@ -39,31 +39,27 @@ keys. `snapshot_doc` writes all live elements at once: per key, one block
 of their rows, transposed into that nesting, and one `tolist()`.
 `load_snapshot_doc` reads them back with one conversion, one shape check
 and one store per key; `element_doc` and `load_element` are the
-one-element case of the same code. `observe` takes the
-sample's numeric values from the float64 row and its Q2.30 words that
-`SampleStream` attaches, as one pair, to a parsed sample's values; a
-list without them, as a library caller builds it, becomes one array. It
-returns the element's updated sample count and the sample's class count
-as Python ints, so the tree reads neither back from the arrays.
+one-element case of the same code. `observe` takes numeric values in
+[-1, 1], from the float64 row and its Q2.30 words that `SampleStream`
+attaches, as one pair, to a parsed sample's values; a list without them,
+as a library caller builds it (its range checked by the caller), becomes
+one array. It returns the element's updated sample count and the sample's
+class count as Python ints, so the tree reads neither back from the
+arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
-reals enter tracker units, and in saturation. On the fixed backend a
-sample whose values all lie in the safe window, at least one step inside
-the Q2.30 edges, is rounded with no edge test and its tracker step is
-not clipped; any other sample is converted with clipping and counting,
-and its step is clipped and counted. A parsed row lies in [-1, 1], so
-`__init__` decides once per pool whether all of them lie in the window
-(every `lam` up to 1.0 at Q = 8; `forward_raw`); if so, an intact parsed
-row is stepped from the words the parser rounded it to, with no test and
-no conversion. Any other row takes one window test per sample, which
-decides both. The skipped clip could change nothing:
-trackers start inside Q2.30 (they are seeded at converted samples, and
-`restore` rejects a payload whose trackers do not), a step moves a
-tracker up only while it is below the sample and down only while it is
-not, by at most one step, so a step toward a sample in the window stays
-inside Q2.30. Only `StatsPool` knows which arrays an element owns:
-recycling and snapshots walk `element_arrays`.
+reals enter tracker units, and in saturation. On the fixed backend no
+value in [-1, 1] saturates on conversion: an intact parsed row is stepped
+from the words the parser rounded it to, any other row is rounded once
+with `fx.quantize_array`. Trackers start inside Q2.30 (seeded at a
+sample's word; `restore` rejects a payload whose trackers do not), and a
+step moves a tracker toward the sample by at most one step, so only a
+step of about 1.0 or longer can leave Q2.30: then (`clip_steps`, decided
+once per pool, `lam` past ~1.1 at Q = 8) every step is clipped and
+`saturation_count` counts the lanes clipped; otherwise it stays 0. Only
+`StatsPool` knows which arrays an element owns: recycling and snapshots
+walk `element_arrays`.
 
 Categorical counts live in one array, `hist`, of shape (capacity, sum of
 cardinalities, |C|): attribute `cat_idx[k]` owns one row per code from
@@ -154,7 +150,7 @@ class StatsPool:
         self.capacity = capacity
         self.method = method = config.method
         self.backend = backend = config.numeric_backend
-        self.forward_raw = False  # step parsed rows from the parser's raw words
+        self.clip_steps = False  # a tracker step can leave Q2.30
         C = schema.class_count
         self.class_count = C
         self.numeric_idx = tuple(
@@ -206,13 +202,9 @@ class StatsPool:
                 lam_raw, _ = fx.float_to_raw_array([config.lam])
                 up, down = (fx.mul_raw_array(lam_raw, fx.float_to_raw_array(g)[0])
                             for g in gains)
-                # no step toward a sample in [_safe_lo, _safe_hi] leaves the
-                # window; the bounds are raw words scaled to exact float64s
-                self._safe_hi = (fx.RAW_MAX - int(up.max())) / fx.SCALE
-                self._safe_lo = (fx.RAW_MIN + int(down.max())) / fx.SCALE
-                # a parsed row lies in [-1, 1]: inside the window, its raw
-                # words are what the window test would round it to
-                self.forward_raw = self._safe_lo <= -1.0 and 1.0 <= self._safe_hi
+                # toward a word in [-SCALE, SCALE] only a step of ~1.0 or more leaves Q2.30
+                self.clip_steps = bool(up.max() > fx.RAW_MAX - fx.SCALE
+                                       or down.max() > -fx.SCALE - fx.RAW_MIN)
             # whole (Q, A) planes, the shape of a bank, so that a step picks
             # between them element by element with nothing to broadcast
             self.step_up, self.step_down = (np.repeat(g, A, axis=1) for g in (up, down))
@@ -293,14 +285,14 @@ class StatsPool:
             raise ValueError("an element's categorical counts, summed over an attribute's "
                              "codes, are not its class counts")
         lo, hi = self.min_a[idx], self.max_a[idx]
-        ranged = (-np.inf < lo) & (lo <= hi) & (hi < np.inf)  # finite; False for NaN
+        ranged = (-1.0 <= lo) & (lo <= hi) & (hi <= 1.0)  # False for NaN
         empty = (lo == np.inf) & (hi == -np.inf)
         if not np.where((n_f > 0)[:, None], ranged, empty).all():
             raise ValueError("an element's min_a..max_a is not (inf, -inf) before its first "
-                             "sample, or finite with min_a <= max_a after it")
+                             "sample, or in [-1, 1] with min_a <= max_a after it")
         if self.backend == BACKEND_FIXED:
-            # observe clips a step only toward a sample near the Q2.30 edge,
-            # so it relies on every tracker starting inside Q2.30
+            # observe clips no step unless `clip_steps`, so it relies on
+            # every tracker starting inside Q2.30
             q = self.trackers[idx]
             if ((q < fx.RAW_MIN) | (q > fx.RAW_MAX)).any():
                 raise ValueError("a raw tracker lies outside Q2.30")
@@ -309,6 +301,11 @@ class StatsPool:
                        else (self.g_mean, self.g_vsum))
             if not all(np.isfinite(a[idx]).all() for a in moments):
                 raise ValueError("an element's tracker or gaussian statistics are not finite")
+            # the mean of values in [-1, 1], and a sum of squares
+            if self.method == METHOD_GAUSSIAN and not ((abs(self.g_mean[idx]) <= 1.0).all()
+                                                       and (self.g_vsum[idx] >= 0.0).all()):
+                raise ValueError("an element's gaussian mean is not in [-1, 1], "
+                                 "or its variance sum is negative")
 
     def snapshot_doc(self) -> dict:
         """The pool's snapshot section, by key."""
@@ -394,7 +391,8 @@ class StatsPool:
         return views
 
     def observe(self, e: int, values: Sequence, label: int) -> tuple[int, int]:
-        """Fold one sample into element e; returns (n_f, n_fj[label])."""
+        """Fold one sample, its numeric values in [-1, 1] (its callers check
+        them), into element e; returns (n_f, n_fj[label])."""
         n = self.n_f.item(e) + 1
         self.n_f[e] = n
         cj = self.n_fj.item(e, label) + 1
@@ -411,27 +409,16 @@ class StatsPool:
             np.minimum(lo, xv, out=lo)
             np.maximum(hi, xv, out=hi)
             if self.method == METHOD_QUANTILE:
-                # inside the window no value saturates, on conversion or
-                # in the step toward it
-                edge = False
                 if self.backend == BACKEND_FLOAT:
                     xt = xv
-                elif words is not None and self.forward_raw:
-                    xt = words.row(at)
-                else:
-                    xs = xv.tolist()  # Python min and max beat numpy's on a short row
-                    if self._safe_lo <= min(xs) and max(xs) <= self._safe_hi:
-                        xt = fx.quantize_array(xv)
-                    else:
-                        xt, sat = fx.float_to_raw_array(xv)
-                        self.saturation_count += sat
-                        edge = True
+                else:  # values in [-1, 1] never saturate on conversion
+                    xt = fx.quantize_array(xv) if words is None else words.row(at)
                 v = banks[label]
                 if cj == 1:
                     v[...] = xt
                 else:
                     v += np.where(v < xt, self.step_up, self._neg_step_down)
-                    if edge:
+                    if self.clip_steps:
                         self.saturation_count += fx.saturate_raw_array(v)
             else:
                 m, vs = banks[label]
@@ -465,7 +452,7 @@ class StatsPool:
         their split points, shape (n, P)."""
         counts = self.n_fj[e].astype(np.float64)
         if self.method == METHOD_QUANTILE:
-            # a split point that saturates is not a saturated sample
+            # split points lie in [-1, 1], so none saturates
             pt, _ = self._to_tracker_units(pts)
             # compared as (|C|, Q, n, P) and summed over Q, whole (n, P)
             # blocks at a time; dist_L is laid out (n, P, |C|) again, so

@@ -33,6 +33,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
@@ -116,7 +117,7 @@ class DatasetSchema:
 
 
 class Sample(NamedTuple):
-    values: list  # normalized floats for numeric, int codes for categorical
+    values: list  # numeric values in [-1, 1], int codes for categorical
     label: int
 
 
@@ -142,19 +143,15 @@ class _Row(list):
     attribute order, as the parser's read-only rows: float64 `numeric`
     and their Q2.30 words `raw`, so the learner need not build either
     again. Both travel in one slot, `forwarded` = (numeric, the chunk's
-    `_Words`, row index), which is None once the list changes; a new
-    `numeric` replaces it and has no words, so no stale `raw` outlives
-    the row it came with."""
+    `_Words`, row index), which is None once the list changes, so no
+    stale row outlives the values it came with. Neither can be assigned:
+    the tree checks only a row without them."""
 
     __slots__ = ("forwarded",)
 
     @property
     def numeric(self):
         return None if self.forwarded is None else self.forwarded[0]
-
-    @numeric.setter
-    def numeric(self, value):
-        self.forwarded = None if value is None else (value, None, 0)
 
     @property
     def raw(self):
@@ -285,6 +282,19 @@ def normalize(raw: float, spec: AttributeSpec) -> float:
 def denormalize(norm: float, spec: AttributeSpec) -> float:
     span = spec.declared_max - spec.declared_min
     return spec.declared_min + (norm + 1.0) * span / 2.0
+
+
+def domain_problem(v) -> str | None:
+    """What keeps v from being a numeric value, a real number (not a bool)
+    in [-1, 1], or None; an int of 64 bits or more is named by its bit
+    length, not its digits, of which there may be thousands."""
+    if type(v) is not float and (type(v) is bool or not isinstance(v, Real)):
+        return f"is not a real number: {v!r}"
+    if -1.0 <= v <= 1.0:  # False for NaN; an int is compared exactly, however large
+        return None
+    if isinstance(v, int) and v.bit_length() >= 64:
+        return f"is not in [-1, 1]: a {v.bit_length()}-bit int"
+    return f"is not in [-1, 1]: {v!r}"
 
 
 class SampleStream:

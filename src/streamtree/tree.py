@@ -39,7 +39,7 @@ from .leaf_stats import (
     StatsPool,
     int_array,
 )
-from .schema import CATEGORICAL, DatasetSchema, Sample, schema_doc, schema_from_doc
+from .schema import CATEGORICAL, DatasetSchema, Sample, domain_problem, schema_doc, schema_from_doc
 
 SNAPSHOT_FORMAT = "streamtree-snapshot"
 SNAPSHOT_VERSION = 1
@@ -172,11 +172,11 @@ class HoeffdingTree:
     def sort_to_leaf(self, s: Sample) -> LeafNode:
         """The leaf s routes to; raises ValueError for a label that is not
         an int in 0..|C|-1, a row whose length is not the schema's, a
-        numeric value that is a bool, not a real number, NaN, infinite or
-        float-overflowing, or a categorical code that is not an int in
+        numeric value that is a bool, not a real number or not in [-1, 1]
+        (NaN included), or a categorical code that is not an int in
         0..cardinality-1, so `step`, `train_one` and `predict` all do,
         before the tree changes. A parsed row's numeric values are not
-        checked again: the parser refuses NaN and clamps infinities."""
+        checked again: the parser refuses NaN and clamps into [-1, 1]."""
         label = s.label
         if type(label) is not int or not 0 <= label < self.schema.class_count:
             raise ValueError(f"label {label!r} is not an int in "
@@ -244,20 +244,12 @@ class HoeffdingTree:
         return None
 
     def _check_numeric(self, values) -> None:
-        """Raise naming the first numeric value that is a bool, not a real
-        number, not finite, or an int too large for a float."""
+        """Raise naming the first numeric value that `domain_problem`
+        refuses: a bool, not a real number, or not in [-1, 1]."""
         for i in self.stats.numeric_idx:
-            v = values[i]
-            if type(v) is not float and (type(v) is bool or not isinstance(v, Real)):
-                problem = f"is not a real number: {v!r}"
-            else:
-                try:
-                    if math.isfinite(v):
-                        continue
-                    problem = f"is not finite: {v!r}"
-                except OverflowError:  # its digits are not printed: there may be thousands
-                    problem = "is an int too large for a float"
-            raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) {problem}")
+            problem = domain_problem(values[i])
+            if problem:
+                raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) {problem}")
 
     def apply_split(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
         e = leaf.eid

@@ -1,6 +1,8 @@
 """Evaluation protocol: predict-first ordering, sweeps, CDF export."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -65,7 +67,7 @@ class TestInterleaved:
     def test_nan_sample_raises_before_any_state_change(self):
         tree = new_tree(ONE_NUM)
         stream = [Sample([0.1], 1), Sample([float("nan")], 1), Sample([0.2], 1)]
-        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+        with pytest.raises(ValueError, match="attribute 0 .* is not in \\[-1, 1\\]: nan"):
             interleaved_test_then_train(tree, stream)
         assert tree.train_count == 1
         assert tree.stats.n_f[tree.root.eid] == 1
@@ -203,6 +205,16 @@ class TestCdfExport:
         comp = export_cdf_comparison(factory(self.bim), ONE_NUM, 0, 20_000)
         errs = comp.sup_errors()
         assert errs["quantile"] < errs["gaussian"]
+
+    @pytest.mark.parametrize("bad, message", [
+        (1e200, "is not in [-1, 1]: 1e+200"), (math.nan, "is not in [-1, 1]: nan"),
+        (10**400, "is not in [-1, 1]: a 1329-bit int"), (True, "is not a real number: True")])
+    def test_a_value_outside_the_domain_refused(self, bad, message):
+        # the pools take [-1, 1] only; alternating +-1e200 used to overflow
+        # the gaussian's variance sum
+        rows = [0.5, bad, -bad] * 5
+        with pytest.raises(ValueError, match=re.escape(f"attribute 0 ('x') {message}")):
+            export_cdf_comparison(lambda: (Sample([x], 0) for x in rows), ONE_NUM, 0, 20)
 
     def test_sample_limit_respected(self):
         comp = export_cdf_comparison(factory(self.uni), ONE_NUM, 0, 500)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference_kernels import track_quantiles, welford
+from streamtree import fixed_point as fx
 from streamtree.leaf_stats import StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
 from streamtree.split_eval import evaluate_split_trial
@@ -361,13 +362,14 @@ class TestRecycling:
         assert pool.element_doc(2) == make_pool(MIXED, live=3, **kw).element_doc(2)
 
 
-POOL_KINDS = [{}, {"backend": "fixed"}, {"method": "gaussian"}]
+# the last kind's steps are long enough to clip at the Q2.30 edge
+POOL_KINDS = [{}, {"backend": "fixed"}, {"method": "gaussian"}, {"backend": "fixed", "lam": 1.5}]
 
 
 def stream(seed, n=40):
-    """n MIXED samples of both classes, some near the Q2.30 edge."""
+    """n MIXED samples of both classes, some on the domain's edges +-1."""
     rng = np.random.default_rng(seed)
-    return [Sample([float(rng.choice([rng.uniform(-1, 1), rng.uniform(-2.5, 2.5)])),
+    return [Sample([float(rng.choice([rng.uniform(-1, 1), rng.choice([-1.0, 1.0])])),
                     int(rng.integers(3))], int(rng.integers(2))) for _ in range(n)]
 
 
@@ -421,7 +423,6 @@ class TestFixedBackend:
                        int(rng.integers(0, 2)))
             observe(fl, 0, s)
             observe(fi, 0, s)
-        import streamtree.fixed_point as fx
         back = fi.trackers[0] / fx.SCALE
         # quantization drift bounded by 10 ulp-equivalents per step
         assert np.max(np.abs(back - fl.trackers[0])) <= 10 * 2.0 ** -30 * n
@@ -443,7 +444,15 @@ class TestFixedBackend:
         assert np.max(np.abs(ta - tb)) <= np.max(fl.n_fj[0]) / 8 + 1e-9
 
     def test_saturation_counted(self):
-        pool = make_pool(backend="fixed")
+        # at lam 1.5 and Q 8 the longest steps are 4/3: on the second
+        # sample a1's two lowest trackers step down from -1.0 past -2, on
+        # the third a0's top tracker steps up from 5/6 past 2
+        pool = make_pool(backend="fixed", lam=1.5)
+        assert pool.clip_steps
         e = 0
-        observe(pool, e, Sample([3.5, -7.0], 0))  # out of Q2.30 range entirely
-        assert pool.saturation_count == 2
+        counts = []
+        for x in (1.0, 1.0, 1.0):
+            observe(pool, e, Sample([x, -x], 0))
+            counts.append(pool.saturation_count)
+        assert counts == [0, 2, 3]
+        assert pool.trackers[e, 0, 7, 0] == fx.RAW_MAX

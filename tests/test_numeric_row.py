@@ -24,8 +24,8 @@ CONFIGS = {
     "quantile-float": TreeConfig(n_min=25),
     "quantile-fixed": TreeConfig(n_min=25, numeric_backend="fixed"),
     "gaussian": TreeConfig(n_min=25, method="gaussian"),
-    # a safe window of +-0.667, which excludes +-1: every row takes the
-    # test-and-clip path, and near-edge steps saturate
+    # steps long enough to leave Q2.30: every step is clipped, and steps
+    # toward the domain's edges saturate
     "quantile-fixed-lam1.5": TreeConfig(n_min=25, numeric_backend="fixed", lam=1.5),
 }
 
@@ -79,22 +79,25 @@ def test_a_changed_list_drops_its_row(tmp_path):
     assert parsed.snapshot() == plain.snapshot()
 
 
-def test_a_reassigned_numeric_row_is_not_stepped_from_stale_words(tmp_path):
+def test_a_numeric_row_cannot_be_reassigned(tmp_path):
+    """The tree checks only a row without the parser's words, so neither
+    the row nor its words may be swapped for unchecked values."""
     path = str(tmp_path / "s.csv")
     schema = synth.write_csv(path, "bimodal", 300, seed=2)
-    # one leaf throughout, which the list routes to whatever the new row holds
-    config = TreeConfig(n_min=1000, numeric_backend="fixed")
-    parsed, plain = new_tree(schema, config), new_tree(schema, config)
-    for s in open_stream(path, schema):
-        with pytest.raises(AttributeError):
-            s.values.raw = s.values.raw  # read-only: words come only from the parser
-        moved = -s.values.numeric  # other values, whose words the parser never made
-        s.values.numeric = moved
-        assert s.values.raw is None
-        parsed.train_one(s)
-        plain.train_one(Sample(moved.tolist(), s.label))
-    assert parsed.leaf_count == 1
-    assert parsed.snapshot() == plain.snapshot()
+    tree = new_tree(schema, TreeConfig(n_min=50, numeric_backend="fixed"))
+    samples = list(open_stream(path, schema))
+    tree.train(samples[:200])
+    before = tree.snapshot()
+    for s in samples[200:]:
+        row = s.values.numeric
+        for name, value in (("numeric", np.array([np.nan, np.nan])), ("numeric", -row),
+                            ("numeric", np.zeros(3)), ("raw", s.values.raw)):
+            with pytest.raises(AttributeError):
+                setattr(s.values, name, value)
+        assert s.values.numeric is row
+    assert tree.snapshot() == before
+    tree.train(samples[200:])
+    tree.validate()
 
 
 @pytest.mark.parametrize("backend, rounded", [("float", False), ("fixed", True)])
@@ -106,15 +109,16 @@ def test_a_chunk_is_rounded_only_for_a_learner_that_asks(backend, rounded, tmp_p
     assert {s.values.forwarded[1].raw is not None for s in samples} == {rounded}
 
 
-@pytest.mark.parametrize("lam, forwards", [(0.01, True), (1.0, True), (1.2, False)])
-def test_pool_decides_once_whether_parsed_rows_skip_the_window(lam, forwards):
-    """At Q=8 the safe window is +-1.111 at lam 1.0 and +-0.933 at lam 1.2."""
+@pytest.mark.parametrize("lam, clips", [(0.01, False), (1.0, False), (1.2, True)])
+def test_pool_decides_once_whether_steps_clip(lam, clips):
+    """At Q=8 the longest step is 0.889 at lam 1.0 and 1.067 at lam 1.2."""
     schema = synth.preset_schema("bimodal")
     tree = new_tree(schema, TreeConfig(quantile_count=8, numeric_backend="fixed", lam=lam))
-    assert tree.stats.forward_raw is forwards
-    assert (tree.stats._safe_lo <= -1.0 and 1.0 <= tree.stats._safe_hi) is forwards
+    assert tree.stats.clip_steps is clips
+    longest = max(tree.stats.step_up.max(), tree.stats.step_down.max()).item() / fx.SCALE
+    assert (longest >= 1.0) is clips
     for config in (TreeConfig(lam=lam), TreeConfig(method="gaussian", lam=lam)):
-        assert new_tree(schema, config).stats.forward_raw is False
+        assert new_tree(schema, config).stats.clip_steps is False
 
 
 rows = st.lists(

@@ -2,12 +2,13 @@
 
 `HoeffdingTree.step` routes a sample once to predict and train; it must
 match `predict` followed by `train_one` exactly. On the fixed backend
-`StatsPool.observe` clips a tracker step only toward a sample within one
-step of the Q2.30 edge; `OracleElement` keeps the earlier step, which
-clipped every conversion after an int64 cast and every tracker step, and
-the pool must keep its trackers and `saturation_count` equal to it. A
-snapshot taken mid-stream and restored must finish the stream exactly as
-the uninterrupted tree. Every comparison is `==`.
+`StatsPool.observe` takes samples in [-1, 1] and clips tracker steps only
+when they are long enough to leave Q2.30 (`clip_steps`); `OracleElement`
+keeps the earlier step, which clipped every conversion after an int64
+cast and every tracker step, and the pool must keep its trackers and
+`saturation_count` equal to it. A snapshot taken mid-stream and restored
+must finish the stream exactly as the uninterrupted tree. Every
+comparison is `==`.
 """
 
 from fractions import Fraction
@@ -107,21 +108,23 @@ class OracleElement:
             self.saturations += oracle_saturate(v)
 
 
-EDGE = 2.0 - 2.0 ** -30
-# reals within 2**-8 of either Q2.30 edge, on and off the raw grid
-near_edge = st.builds(lambda side, k, off: side * (EDGE - k * 2.0 ** -30 + off),
-                      st.sampled_from([1.0, -1.0]), st.integers(-4, 1 << 22),
+# reals within 2**-8 of either edge of the domain [-1, 1], on and off the
+# raw grid
+near_edge = st.builds(lambda side, k, off: side * (1.0 - k * 2.0 ** -30 - off),
+                      st.sampled_from([1.0, -1.0]), st.integers(0, 1 << 22),
                       st.sampled_from([0.0, 2.0 ** -31, 2.0 ** -33]))
-values = st.one_of(st.floats(-3.0, 3.0), near_edge)
+values = st.one_of(st.floats(-1.0, 1.0), near_edge)
 samples = st.lists(st.tuples(values, values, st.integers(0, 2)), min_size=1, max_size=80)
+EXAMPLES = ((((1.0, -1.0, 0),) * 6, 1.2),
+            (((0.5, -0.5, 1), (0.6, 0.2, 1), (0.1, -0.9, 1)), 2.0))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(stream=samples,
-       lam=st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.sampled_from([1.0, 2.0])),
+       lam=st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.sampled_from([1.0, 1.2, 2.0])),
        quantile_count=st.sampled_from([2, 3, 8]))
-@example(stream=[(1.999, -1.999, 0)] * 6, lam=0.01, quantile_count=8)
-@example(stream=[(0.5, -0.5, 1), (0.6, 0.2, 1), (0.1, -0.9, 1)], lam=2.0, quantile_count=8)
+@example(stream=list(EXAMPLES[0][0]), lam=EXAMPLES[0][1], quantile_count=8)
+@example(stream=list(EXAMPLES[1][0]), lam=EXAMPLES[1][1], quantile_count=8)
 def test_fixed_observe_matches_always_saturating_oracle(stream, lam, quantile_count):
     schema = DatasetSchema(TWO_NUM.attributes, 3)
     pool = StatsPool(schema, TreeConfig(quantile_count=quantile_count, lam=lam,
@@ -136,16 +139,16 @@ def test_fixed_observe_matches_always_saturating_oracle(stream, lam, quantile_co
 
 
 def test_oracle_examples_saturate_tracker_steps():
-    # the explicit examples above reach the step clip, not only conversion
-    for stream, lam in (([(1.999, -1.999, 0)] * 6, 0.01),
-                        ([(0.5, -0.5, 1), (0.6, 0.2, 1), (0.1, -0.9, 1)], 2.0)):
+    # the explicit examples above reach the step clip
+    for stream, lam in EXAMPLES:
         oracle = OracleElement(2, 3, 8, lam)
         for x0, x1, y in stream:
             oracle.observe([x0, x1], y)
         assert oracle.saturations > 0
 
 
-def test_only_edge_samples_clip_the_step(monkeypatch):
+@pytest.mark.parametrize("lam, clips", [(1.0, False), (1.2, True)])
+def test_steps_are_clipped_exactly_when_clip_steps(monkeypatch, lam, clips):
     calls = []
     saturate = fx.saturate_raw_array
 
@@ -154,25 +157,24 @@ def test_only_edge_samples_clip_the_step(monkeypatch):
         return saturate(raw)
 
     monkeypatch.setattr(fx, "saturate_raw_array", counting)
-    # (values, label, near the edge); each class is seeded in the window,
-    # which this gain narrows to about [-1.11, 1.11]
-    stream = [([0.3, -0.4], 0, False), ([0.5, 0.1], 1, False),
-              ([1.5, 0.2], 0, True), ([1.9, 0.1], 0, True),
-              ([0.5, -0.5], 0, False), ([2.5, -3.0], 1, True),
-              ([0.1, 0.2], 1, False), ([-0.9, 0.9], 0, False),
-              ([0.0, -1.9], 0, True), ([0.0, -1.95], 0, True),
-              ([1.0, -1.0], 0, False), ([0.25, -0.75], 1, False)]
-    pool = StatsPool(TWO_NUM, TreeConfig(lam=1.0, numeric_backend="fixed"), 1)
+    # (values, label); the first sample of each class seeds its trackers
+    stream = [([0.3, -0.4], 0), ([0.5, 0.1], 1), ([1.0, 0.2], 0), ([1.0, 0.1], 0),
+              ([0.5, -0.5], 0), ([1.0, -1.0], 1), ([0.1, 0.2], 1), ([-0.9, 0.9], 0),
+              ([0.0, -1.0], 0), ([0.0, -1.0], 0), ([1.0, -1.0], 0), ([0.25, -0.75], 1)]
+    pool = StatsPool(TWO_NUM, TreeConfig(lam=lam, numeric_backend="fixed"), 1)
     assert pool.alloc() == 0
-    oracle = OracleElement(2, 2, 8, 1.0)
-    for xs, y, edge in stream:
+    assert pool.clip_steps is clips
+    oracle = OracleElement(2, 2, 8, lam)
+    seen = set()
+    for xs, y in stream:
         before = len(calls)
         pool.observe(0, xs, y)
         oracle.observe(xs, y)
-        assert len(calls) == before + edge
+        assert len(calls) == before + (clips and y in seen)
+        seen.add(y)
         assert np.array_equal(pool.trackers[0].transpose(2, 0, 1), oracle.trackers)
         assert pool.saturation_count == oracle.saturations
-    assert oracle.saturations == 5  # 2 on conversion, 3 in tracker steps
+    assert (oracle.saturations > 0) is clips
 
 
 def test_observe_returns_the_counts():
@@ -194,7 +196,7 @@ def labelled(rows):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(CONFIGS)),
-       wide=st.booleans(),
+       long_steps=st.booleans(),
        rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                                st.sampled_from([0, 0, 0, 1])),
                      min_size=2, max_size=400),
@@ -203,14 +205,12 @@ def labelled(rows):
        cut=st.floats(0.0, 1.0),
        # a small pool runs out: freezes, and released ids reused, across the cut
        max_leaves=st.one_of(st.integers(2, 5), st.just(1024)))
-def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, wide, rows, tail, cut,
-                                                               max_leaves):
+def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, long_steps, rows, tail,
+                                                               cut, max_leaves):
+    # steps of lam 1.5 are clipped, and put fixed trackers on the Q2.30 edge
     config = TreeConfig(n_min=25, method=CONFIGS[name].method, max_leaves=max_leaves,
-                        numeric_backend=CONFIGS[name].numeric_backend)
-    if wide and name == "quantile-fixed":
-        # library inputs are not normalized: these saturate on conversion
-        # and put trackers on the Q2.30 edge
-        rows = [(3.0 * x0, 2.0 + x1, flip) for x0, x1, flip in rows]
+                        numeric_backend=CONFIGS[name].numeric_backend,
+                        lam=1.5 if long_steps else TreeConfig.lam)
     stream = labelled(rows) + list(synth.generate("xor", tail, seed=tail))
     k = int(cut * len(stream))
     whole = new_tree(TWO_NUM, config)
@@ -227,8 +227,8 @@ def test_restore_mid_stream_finishes_like_an_uninterrupted_run(name, wide, rows,
 
 
 def test_restored_tracker_outside_q2_30_is_rejected():
-    # observe clips no step toward an in-window sample, so a tracker
-    # outside Q2.30 would stay there
+    # observe clips no step unless `clip_steps`, so a tracker outside
+    # Q2.30 would stay there
     tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
     tree.train_one(Sample([0.3, -0.4], 0))
     blob = tree.snapshot()

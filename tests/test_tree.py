@@ -806,14 +806,27 @@ class TestSnapshotValidation:
         values[0] = bad
         self.rejects(doc, "tracker or gaussian statistics are not finite")
 
+    # finite bounds outside [-1, 1] are no input's range either
     @pytest.mark.parametrize("lo, hi", [(math.nan, 0.5), (-math.inf, 0.5), (0.2, math.inf),
-                                        (0.6, 0.5)])
+                                        (0.6, 0.5), (-1.7e308, 0.5), (0.2, 1.5)])
     def test_range_of_an_element_with_samples(self, lo, hi):
         doc = self.doc()
         el = self.element(doc)
         assert el["n_f"] > 0
         el["min_a"][0], el["max_a"][0] = lo, hi
-        self.rejects(doc, "finite with min_a <= max_a after it")
+        self.rejects(doc, "in \\[-1, 1\\] with min_a <= max_a after it")
+
+    @pytest.mark.parametrize("key, bad", [("g_mean", 1e200), ("g_mean", -1.0000000000000002),
+                                          ("g_vsum", -5.0)])
+    def test_gaussian_statistic_no_input_produces(self, key, bad):
+        # the mean of values in [-1, 1] lies in [-1, 1] and a variance sum
+        # is >= 0; a mean of 1e200 used to restore, and overflowed g_vsum
+        # 1,500 xor samples later
+        tree = new_tree(TWO_NUM, TreeConfig(method="gaussian"))
+        tree.train(synth.generate("xor", 2000, seed=3))
+        doc = json.loads(tree.snapshot())
+        self.element(doc)[key][0][0] = bad
+        self.rejects(doc, "gaussian mean is not in \\[-1, 1\\], or its variance sum is negative")
 
     @pytest.mark.parametrize("lo, hi", [(0.5, -math.inf), (math.inf, 0.5),
                                         (math.nan, -math.inf), (math.inf, math.inf)])
@@ -944,7 +957,7 @@ class TestNonFiniteInput:
         clean.train(head + tail)
         tree = new_tree(schema)
         tree.train(head)
-        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+        with pytest.raises(ValueError, match="attribute 0 .* is not in \\[-1, 1\\]: nan"):
             tree.train_one(Sample([float("nan"), 0.0], 0))
         tree.train(tail)
         assert tree.train_count == clean.train_count
@@ -953,18 +966,26 @@ class TestNonFiniteInput:
 
     def test_infinity_named(self):
         tree = new_tree(TWO_NUM)
-        with pytest.raises(ValueError, match="attribute 1 \\('a1'\\) is not finite: -inf"):
+        with pytest.raises(ValueError, match="attribute 1 \\('a1'\\) is not in \\[-1, 1\\]: -inf"):
             tree.train_one(Sample([0.5, float("-inf")], 1))
         assert tree.train_count == 0
         assert tree.stats.n_f[tree.root.eid] == 0
 
-    def test_finite_values_whose_sum_overflows_are_accepted(self):
+    @pytest.mark.parametrize("values, attr, shown", [
+        ([1e308, 1e308], 0, "1e+308"), ([0.5, -1.7e308], 1, "-1.7e+308"),
+        ([0.5, 1.0000000000000002], 1, "1.0000000000000002"), ([-1.5, 0.0], 0, "-1.5")],
+        ids=["1e308", "-1.7e308", "next-above-1", "-1.5"])
+    def test_finite_values_outside_the_domain_rejected(self, values, attr, shown):
         tree = new_tree(TWO_NUM)
-        tree.train_one(Sample([1e308, 1e308], 1))
+        tree.train_one(Sample([1.0, -1.0], 1))  # the domain's edges are in it
+        before = tree.snapshot()
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"attribute {attr} ('a{attr}') is not in "
+                                               f"[-1, 1]: {shown}")):
+                call(Sample(values, 0))
+        assert tree.snapshot() == before
         assert tree.train_count == 1
-        assert tree.stats.n_f[tree.root.eid] == 1
-        assert tree.predict(Sample([1e308, 1e308], 0)) == 1
-        assert tree.step(Sample([1e308, 1e308], 0)) == 1
 
     def test_predict_and_step_reject_nan(self):
         # without the check a NaN fails every `<=` and lands right
@@ -972,32 +993,42 @@ class TestNonFiniteInput:
         tree.train(synth.generate("threshold", 3000, seed=2))
         before = tree.snapshot()
         bad = Sample([float("nan"), 0.0], 0)
-        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+        with pytest.raises(ValueError, match="attribute 0 .* is not in \\[-1, 1\\]: nan"):
             tree.predict(bad)
-        with pytest.raises(ValueError, match="attribute 0 .* is not finite: nan"):
+        with pytest.raises(ValueError, match="attribute 0 .* is not in \\[-1, 1\\]: nan"):
             tree.step(bad)
         assert tree.snapshot() == before
 
-    @pytest.mark.parametrize("values, attr", [([10**400, 0.5], 0), ([0.5, -10**5000], 1)],
+    @pytest.mark.parametrize("values, attr, bits", [([10**400, 0.5], 0, 1329),
+                                                    ([0.5, -10**5000], 1, 16610)],
                              ids=["400-digits", "past-the-int-print-limit"])
-    def test_int_too_large_for_a_float_rejected(self, values, attr):
-        # it used to escape `sum` as OverflowError
+    def test_int_too_large_for_a_float_rejected(self, values, attr, bits):
+        # it used to escape `sum` as OverflowError; its digits are not printed
         tree = new_tree(synth.preset_schema("threshold"))
         tree.train(synth.generate("threshold", 50, seed=1))
         before = tree.snapshot()
         bad = Sample(values, 0)
         for call in (tree.train_one, tree.step, tree.predict):
-            with pytest.raises(ValueError,
-                               match=f"attribute {attr} .* is an int too large for a float"):
+            with pytest.raises(ValueError, match=f"attribute {attr} .* is not in "
+                                                 f"\\[-1, 1\\]: a {bits}-bit int$"):
                 call(bad)
         assert tree.snapshot() == before
         assert tree.train_count == 50
 
-    def test_large_ints_whose_sum_overflows_are_accepted(self):
+    @pytest.mark.parametrize("values, attr, shown", [
+        ([10**308, 1], 0, "a 1024-bit int"), ([-1, 2], 1, "2"), ([0, -(2**63)], 1, "a 64-bit int"),
+        ([2**63 - 1, 0], 0, "9223372036854775807")],
+        ids=["10**308", "2", "-2**63", "2**63-1"])
+    def test_ints_outside_the_domain_rejected(self, values, attr, shown):
         tree = new_tree(TWO_NUM)
-        tree.train_one(Sample([10**308, 10**308], 1))
-        assert tree.train_count == 1
-        assert tree.predict(Sample([10**308, 10**308], 0)) == 1
+        tree.train_one(Sample([1, -1], 1))
+        before = tree.snapshot()
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"attribute {attr} ('a{attr}') is not in "
+                                               f"[-1, 1]: {shown}")):
+                call(Sample(values, 0))
+        assert tree.snapshot() == before
 
 
 class TestHandBuiltValues:
@@ -1050,7 +1081,7 @@ class TestParsedRows:
         bad.values[1] = float("nan")
         assert bad.values.numeric is None
         for call in (tree.train_one, tree.step, tree.predict):
-            with pytest.raises(ValueError, match="attribute 1 .* is not finite: nan"):
+            with pytest.raises(ValueError, match="attribute 1 .* is not in \\[-1, 1\\]: nan"):
                 call(bad)
         assert tree.snapshot() == before
         tree.train(samples[201:])
@@ -1102,12 +1133,16 @@ class TestLabelOutOfRange:
 
 
 class TestFixedSaturation:
-    def test_huge_value_seeds_trackers_at_the_top_edge(self):
+    def test_huge_value_refused_before_it_saturates(self):
         tree = new_tree(TWO_NUM, TreeConfig(numeric_backend="fixed"))
-        tree.train_one(Sample([1e10, 0.5], 0))
+        with pytest.raises(ValueError, match=re.escape("attribute 0 ('a0') is not in "
+                                                       "[-1, 1]: 10000000000.0")):
+            tree.train_one(Sample([1e10, 0.5], 0))
+        assert tree.train_count == 0
+        tree.train_one(Sample([1.0, 0.5], 0))
         q = tree.stats.trackers[tree.root.eid, 0, :, 0]
-        assert (q == fx.RAW_MAX).all()
-        assert tree.stats.saturation_count == 1
+        assert (q == fx.SCALE).all()
+        assert tree.stats.saturation_count == 0
 
     def test_huge_gain_saturates_instead_of_raising(self):
         tree = new_tree(TWO_NUM, TreeConfig(lam=1e300, numeric_backend="fixed"))
