@@ -30,22 +30,39 @@ Each (element, class) pair owns one contiguous bank with the numeric
 attribute axis last: `trackers` is (capacity, |C|, Q, A) and `g_mean`,
 `g_vsum` are (capacity, |C|, A), so one sample updates one block of
 memory: its class's (Q, A) bank, stepped against whole (Q, A) up and
-down planes with nothing to broadcast, or a Welford update on (A,) rows.
-`observe` reaches an element's `min_a`/`max_a` rows and per-class banks
+down planes, or a Welford update on (A,) rows. The step compares the bank
+with the sample filled across a per-pool (Q, A) buffer, not with the (A,)
+row: the booleans are the same, and numpy compares two (Q, A) arrays in
+well under half the time it takes to broadcast the row.
+
+`observe` reaches an element's per-class banks and its range block
 through views built on the element's first sample, not per capacity;
-they stay valid because recycling and loading write in place. Snapshots
-keep the (A, |C|, Q) and (A, |C|) nesting per element under the same
-keys. `snapshot_doc` writes all live elements at once: per key, one block
-of their rows, transposed into that nesting, and one `tolist()`.
+they stay valid because recycling and loading write in place. The range
+is written behind: `observe` stores the sample's numeric row in the
+element's block of RANGE_BLOCK_ROWS rows, and the block is folded into
+`min_a`/`max_a` with one min and one max reduction when it is full and
+before every read: `split_points` (the trial), `element_doc` and
+`snapshot_doc`, `validate`, and the `min_a`/`max_a` properties. Only
+elements with pending rows are folded; `alloc`, `release` and
+`load_element` discard an element's pending rows. The fold keeps the bits
+a np.minimum/np.maximum per sample gives, signed zeros included.
+
+Snapshots keep the (A, |C|, Q) and (A, |C|) nesting per element under the
+same keys. `snapshot_doc` writes all live elements at once: per key, one
+block of their rows, transposed into that nesting, and one `tolist()`.
 `load_snapshot_doc` reads them back with one conversion, one shape check
 and one store per key; `element_doc` and `load_element` are the
-one-element case of the same code. `observe` takes numeric values in
-[-1, 1], from the float64 row and its Q2.30 words that `SampleStream`
-attaches, as one pair, to a parsed sample's values; a list without them,
-as a library caller builds it (its range checked by the caller), becomes
-one array. It returns the element's updated sample count and the sample's
-class count as Python ints, so the tree reads neither back from the
-arrays.
+one-element case of the same code.
+
+`observe` takes numeric values in [-1, 1]. On a parsed sample it reads the
+float64 row and its chunk's Q2.30 words that `SampleStream` forwards in
+the values' private slot, and it trusts that slot only on the parser's
+own row type; any other list, as a library caller builds it (its range
+checked by the caller), becomes one array. What the config fixes (method,
+backend, whether any attribute is categorical, `clip_steps`) is decided
+once per pool. `observe` returns the element's updated sample count and
+the sample's class count as Python ints, so the tree reads neither back
+from the arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
@@ -89,7 +106,7 @@ import numpy as np
 
 from . import fixed_point as fx
 from .gaussian import normal_cdf
-from .schema import CATEGORICAL, NUMERIC, DatasetSchema
+from .schema import CATEGORICAL, NUMERIC, DatasetSchema, _Row
 
 if TYPE_CHECKING:  # tree imports this module
     from .tree import TreeConfig
@@ -98,6 +115,8 @@ METHOD_QUANTILE = "quantile"
 METHOD_GAUSSIAN = "gaussian"
 BACKEND_FLOAT = "float"
 BACKEND_FIXED = "fixed"
+# rows of an element's write-behind range block (`StatsPool.observe`)
+RANGE_BLOCK_ROWS = 64
 
 
 def default_targets(count: int) -> tuple[float, ...]:
@@ -149,7 +168,10 @@ class StatsPool:
         self.schema = schema
         self.capacity = capacity
         self.method = method = config.method
-        self.backend = backend = config.numeric_backend
+        backend = config.numeric_backend
+        # what the config fixes, decided once for `observe`
+        self._quantile = method == METHOD_QUANTILE
+        self._fixed = backend == BACKEND_FIXED
         self.clip_steps = False  # a tracker step can leave Q2.30
         C = schema.class_count
         self.class_count = C
@@ -172,17 +194,17 @@ class StatsPool:
         self.generation = np.zeros(capacity, dtype=np.int64)
         self.n_f = np.zeros(capacity, dtype=np.int64)
         self.n_fj = np.zeros((capacity, C), dtype=np.int64)
-        # set element by element by `alloc`
-        self.min_a = np.zeros((capacity, A))
-        self.max_a = np.zeros((capacity, A))
+        # set element by element by `alloc`; read through `min_a`/`max_a`
+        self._min_a = np.zeros((capacity, A))
+        self._max_a = np.zeros((capacity, A))
         self.hist = np.zeros((capacity, sum(cards), C), dtype=np.int64)
         # Every per-element statistic, by snapshot key, with the value a
         # recycled element holds.
         self.element_arrays = {
             "n_f": (self.n_f, 0),
             "n_fj": (self.n_fj, 0),
-            "min_a": (self.min_a, np.inf),
-            "max_a": (self.max_a, -np.inf),
+            "min_a": (self._min_a, np.inf),
+            "max_a": (self._max_a, -np.inf),
             "hists": (self.hist, 0),
         }
         # The axes that turn an element's class-first bank into its
@@ -209,6 +231,15 @@ class StatsPool:
             # between them element by element with nothing to broadcast
             self.step_up, self.step_down = (np.repeat(g, A, axis=1) for g in (up, down))
             self._neg_step_down = -self.step_down
+            # a tracker starts at a sample in [-1, 1] and steps toward each
+            # later one, so it stays within one step of [-1, 1]; rounding is
+            # monotone, so the float sums bound the float trackers too
+            one = fx.SCALE if self._fixed else 1.0
+            self._tracker_lo = -one - self.step_down
+            self._tracker_hi = one + self.step_up
+            # the sample, filled across a bank's Q rows: a (Q, A) compare
+            # costs less than one that broadcasts an (A,) row
+            self._sample_bank = np.zeros((Q, A), dtype=dtype)
             self.trackers = np.zeros((capacity, C, Q, A), dtype=dtype)
             self.element_arrays[key] = (self.trackers, 0)
             doc_axes[key] = (2, 0, 1)  # (|C|, Q, A) -> (A, |C|, Q)
@@ -232,26 +263,43 @@ class StatsPool:
                 self._doc_keys.append((key, arr, to_doc, from_doc, shape))
 
         self.saturation_count = 0
-        # element -> views of its rows (`_element_views`), built on its first
-        # sample: never per capacity, as `restore` builds a pool per snapshot
+        # element -> (per-class banks, range block) (`_element_views`), built
+        # on its first sample: never per capacity, as `restore` builds a pool
+        # per snapshot
         self._views: dict[int, tuple] = {}
+        # element -> rows of its range block not yet folded into its range
+        self._pending: dict[int, int] = {}
         self.free_list = list(range(capacity - 1, -1, -1))  # pops 0, 1, 2, ...
 
     @property
     def allocated_count(self) -> int:
         return self.capacity - len(self.free_list)
 
+    @property
+    def min_a(self) -> np.ndarray:
+        """Each element's lowest numeric values, shape (capacity, A)."""
+        self._fold_all()
+        return self._min_a
+
+    @property
+    def max_a(self) -> np.ndarray:
+        """Each element's highest numeric values, shape (capacity, A)."""
+        self._fold_all()
+        return self._max_a
+
     def alloc(self) -> int:
         if not self.free_list:
             raise RuntimeError("element pool exhausted")
         e = self.free_list.pop()
-        self.min_a[e] = np.inf
-        self.max_a[e] = -np.inf
+        self._pending.pop(e, None)
+        self._min_a[e] = np.inf
+        self._max_a[e] = -np.inf
         return e
 
     def release(self, e: int) -> None:
         """Recycle element e: reset its statistics in place, count it, free its id."""
         self.generation[e] += 1
+        self._pending.pop(e, None)
         for arr, empty in self.element_arrays.values():
             arr[e] = empty
         self.free_list.append(e)
@@ -290,22 +338,26 @@ class StatsPool:
         if not np.where((n_f > 0)[:, None], ranged, empty).all():
             raise ValueError("an element's min_a..max_a is not (inf, -inf) before its first "
                              "sample, or in [-1, 1] with min_a <= max_a after it")
-        if self.backend == BACKEND_FIXED:
+        if self._fixed:
             # observe clips no step unless `clip_steps`, so it relies on
             # every tracker starting inside Q2.30
             q = self.trackers[idx]
             if ((q < fx.RAW_MIN) | (q > fx.RAW_MAX)).any():
                 raise ValueError("a raw tracker lies outside Q2.30")
         else:
-            moments = ((self.trackers,) if self.method == METHOD_QUANTILE
-                       else (self.g_mean, self.g_vsum))
+            moments = ((self.trackers,) if self._quantile else (self.g_mean, self.g_vsum))
             if not all(np.isfinite(a[idx]).all() for a in moments):
                 raise ValueError("an element's tracker or gaussian statistics are not finite")
             # the mean of values in [-1, 1], and a sum of squares
-            if self.method == METHOD_GAUSSIAN and not ((abs(self.g_mean[idx]) <= 1.0).all()
-                                                       and (self.g_vsum[idx] >= 0.0).all()):
+            if not self._quantile and not ((abs(self.g_mean[idx]) <= 1.0).all()
+                                           and (self.g_vsum[idx] >= 0.0).all()):
                 raise ValueError("an element's gaussian mean is not in [-1, 1], "
                                  "or its variance sum is negative")
+        if self._quantile:
+            q = self.trackers[idx]
+            if ((q < self._tracker_lo) | (q > self._tracker_hi)).any():
+                raise ValueError("an element's tracker lies further than one of its steps "
+                                 "outside [-1, 1]")
 
     def snapshot_doc(self) -> dict:
         """The pool's snapshot section, by key."""
@@ -354,6 +406,7 @@ class StatsPool:
         """The statistics of elements `live` as JSON-ready dicts by snapshot
         key, one `tolist()` per key; "hists" holds one (cardinality, |C|)
         list per attribute."""
+        self._fold_all()
         keys = [key for key, *_ in self._doc_keys]
         columns = [arr[live].transpose(to_doc).tolist() for _, arr, to_doc, _, _ in self._doc_keys]
         hists = [self.hist[live, rows].tolist() for rows in self._cat_rows]
@@ -364,6 +417,8 @@ class StatsPool:
         """Overwrite elements `ids` from their `element_doc` dicts, one
         conversion, shape check and store per key; raises ValueError naming
         the key for a value whose type or shape does not fit its slot."""
+        for e in ids:
+            self._pending.pop(e, None)
         for key, arr, _, from_doc, shape in self._doc_keys:
             arr[ids] = json_column([d[key] for d in docs], shape, key,
                                    arr.dtype.kind == "i").transpose(from_doc)
@@ -374,21 +429,43 @@ class StatsPool:
 
     def _to_tracker_units(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Reals in tracker units, with how many saturated on the way."""
-        if self.backend == BACKEND_FIXED:
+        if self._fixed:
             return fx.float_to_raw_array(x)
         return x, 0
 
     def _element_views(self, e: int) -> tuple:
-        """Element e's (min_a row, max_a row, per-class banks) as views: a
-        bank is the class's (Q, A) trackers or its (g_mean, g_vsum) rows.
-        They stay valid while the arrays do, since `release` and
-        `load_element` write in place."""
-        if self.method == METHOD_QUANTILE:
+        """Element e's (per-class banks, range block): a bank is the class's
+        (Q, A) trackers or its (g_mean, g_vsum) rows, as views that stay
+        valid while the arrays do, since `release` and `load_element` write
+        in place. The block holds RANGE_BLOCK_ROWS numeric rows."""
+        if self._quantile:
             banks = list(self.trackers[e])
         else:
             banks = list(zip(self.g_mean[e], self.g_vsum[e]))
-        views = self._views[e] = (self.min_a[e], self.max_a[e], banks)
+        block = np.empty((RANGE_BLOCK_ROWS, len(self.numeric_idx)))
+        views = self._views[e] = (banks, block)
         return views
+
+    def _fold(self, e: int, k: int) -> None:
+        """Fold the first k rows of element e's range block into its
+        min_a/max_a rows, with the bits a np.minimum/np.maximum per row
+        gives: one reduction each, and a row-by-row accumulation of the
+        attributes whose extreme is a zero. -0.0 == 0.0, and a reduction
+        (which numpy may reorder) need not keep the zero that the row
+        order keeps."""
+        rows = self._views[e][1][:k]
+        for ufunc, out in ((np.minimum, self._min_a[e]), (np.maximum, self._max_a[e])):
+            extreme = ufunc.reduce(rows)
+            if np.count_nonzero(extreme) < extreme.size:
+                zero = extreme == 0.0
+                extreme[zero] = ufunc.accumulate(rows[:, zero])[-1]
+            ufunc(out, extreme, out=out)
+
+    def _fold_all(self) -> None:
+        """Fold every element's pending range rows."""
+        pending = self._pending
+        while pending:
+            self._fold(*pending.popitem())
 
     def observe(self, e: int, values: Sequence, label: int) -> tuple[int, int]:
         """Fold one sample, its numeric values in [-1, 1] (its callers check
@@ -400,16 +477,26 @@ class StatsPool:
 
         if self.numeric_idx:
             # the parser's float64 row and its chunk's words, or one array built here
-            xv, words, at = getattr(values, "forwarded", None) or (
-                np.array([values[i] for i in self.numeric_idx], dtype=np.float64), None, 0)
+            if type(values) is _Row and values._fwd is not None:
+                xv, words, at = values._fwd
+            else:
+                xv, words = np.array([values[i] for i in self.numeric_idx], dtype=np.float64), None
             views = self._views.get(e)
             if views is None:
                 views = self._element_views(e)
-            lo, hi, banks = views
-            np.minimum(lo, xv, out=lo)
-            np.maximum(hi, xv, out=hi)
-            if self.method == METHOD_QUANTILE:
-                if self.backend == BACKEND_FLOAT:
+            banks, block = views
+            # the range is written behind: the row now, min_a/max_a at a fold
+            pending = self._pending
+            k = pending.get(e, 0)
+            block[k] = xv
+            k += 1
+            if k < RANGE_BLOCK_ROWS:
+                pending[e] = k
+            else:
+                del pending[e]
+                self._fold(e, k)
+            if self._quantile:
+                if not self._fixed:
                     xt = xv
                 else:  # values in [-1, 1] never saturate on conversion
                     xt = fx.quantize_array(xv) if words is None else words.row(at)
@@ -417,7 +504,9 @@ class StatsPool:
                 if cj == 1:
                     v[...] = xt
                 else:
-                    v += np.where(v < xt, self.step_up, self._neg_step_down)
+                    xb = self._sample_bank
+                    xb[...] = xt
+                    v += np.where(v < xb, self.step_up, self._neg_step_down)
                     if self.clip_steps:
                         self.saturation_count += fx.saturate_raw_array(v)
             else:
@@ -430,16 +519,20 @@ class StatsPool:
                     m += d / cj
                     vs += d * (xv - m)
 
-        for i, start in zip(self.cat_idx, self.cat_start):
-            self.hist[e, start + values[i], label] += 1
+        if self.cat_idx:
+            for i, start in zip(self.cat_idx, self.cat_start):
+                self.hist[e, start + values[i], label] += 1
         return n, cj
 
     def split_points(self, e: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The (A,) mask of numeric attributes whose observed range is not
         empty (min < max), and count evenly spaced interior points of each
         of those ranges, shape (mask.sum(), count)."""
-        lo = self.min_a[e]
-        hi = self.max_a[e]
+        k = self._pending.pop(e, 0)
+        if k:
+            self._fold(e, k)
+        lo = self._min_a[e]
+        hi = self._max_a[e]
         valid = lo < hi
         lo = lo[valid]
         span = (hi[valid] - lo) / (count + 1)
@@ -451,7 +544,7 @@ class StatsPool:
         attributes the (A,) mask `valid` selects, shape (n, P, |C|), given
         their split points, shape (n, P)."""
         counts = self.n_fj[e].astype(np.float64)
-        if self.method == METHOD_QUANTILE:
+        if self._quantile:
             # split points lie in [-1, 1], so none saturates
             pt, _ = self._to_tracker_units(pts)
             # compared as (|C|, Q, n, P) and summed over Q, whole (n, P)

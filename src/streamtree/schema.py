@@ -142,28 +142,29 @@ class _Row(list):
     """A parsed sample's values that also carry its numeric values, in
     attribute order, as the parser's read-only rows: float64 `numeric`
     and their Q2.30 words `raw`, so the learner need not build either
-    again. Both travel in one slot, `forwarded` = (numeric, the chunk's
-    `_Words`, row index), which is None once the list changes, so no
-    stale row outlives the values it came with. Neither can be assigned:
-    the tree checks only a row without them."""
+    again. Both travel in one private slot, `_fwd` = (numeric, the
+    chunk's `_Words`, row index), which is None once the list changes, so
+    no stale row outlives the values it came with. Neither can be
+    assigned: the tree checks every row but an intact one of this type,
+    and the learner trusts the slot on this type only."""
 
-    __slots__ = ("forwarded",)
+    __slots__ = ("_fwd",)
 
     @property
     def numeric(self):
-        return None if self.forwarded is None else self.forwarded[0]
+        return None if self._fwd is None else self._fwd[0]
 
     @property
     def raw(self):
-        fwd = self.forwarded
-        return None if fwd is None or fwd[1] is None else fwd[1].row(fwd[2])
+        fwd = self._fwd
+        return None if fwd is None else fwd[1].row(fwd[2])
 
 
 def _drops_forwarded(name: str):
     method = getattr(list, name)
 
     def mutate(self, *args, **kwargs):
-        self.forwarded = None
+        self._fwd = None
         return method(self, *args, **kwargs)
 
     mutate.__name__ = name
@@ -178,7 +179,7 @@ del _name
 
 def _numeric_row(values: list, forwarded: tuple) -> _Row:
     row = _Row(values)
-    row.forwarded = forwarded
+    row._fwd = forwarded
     return row
 
 

@@ -39,7 +39,15 @@ from .leaf_stats import (
     StatsPool,
     int_array,
 )
-from .schema import CATEGORICAL, DatasetSchema, Sample, domain_problem, schema_doc, schema_from_doc
+from .schema import (
+    CATEGORICAL,
+    DatasetSchema,
+    Sample,
+    _Row,
+    domain_problem,
+    schema_doc,
+    schema_from_doc,
+)
 
 SNAPSHOT_FORMAT = "streamtree-snapshot"
 SNAPSHOT_VERSION = 1
@@ -175,8 +183,9 @@ class HoeffdingTree:
         numeric value that is a bool, not a real number or not in [-1, 1]
         (NaN included), or a categorical code that is not an int in
         0..cardinality-1, so `step`, `train_one` and `predict` all do,
-        before the tree changes. A parsed row's numeric values are not
-        checked again: the parser refuses NaN and clamps into [-1, 1]."""
+        before the tree changes. An intact parsed row is not checked again:
+        the parser refuses NaN and codes out of range, and clamps numeric
+        values into [-1, 1]."""
         label = s.label
         if type(label) is not int or not 0 <= label < self.schema.class_count:
             raise ValueError(f"label {label!r} is not an int in "
@@ -185,19 +194,8 @@ class HoeffdingTree:
         if len(values) != self._attr_count:
             raise ValueError(f"the sample's row length {len(values)} is not the "
                              f"schema's {self._attr_count} attributes")
-        if getattr(values, "forwarded", None) is None:  # not an intact parsed row
-            self._check_numeric(values)
-        for i, card in self._code_ranges:
-            code = values[i]
-            if type(code) is not int or not 0 <= code < card:
-                if type(code) is not int:
-                    what = f"code {code!r}, not an int in"
-                elif code.bit_length() < 64:
-                    what = f"code {code!r}, outside"
-                else:  # no digits: there may be thousands
-                    what = f"a {code.bit_length()}-bit code, outside"
-                raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
-                                 f"has {what} 0..{card - 1}")
+        if type(values) is not _Row or values._fwd is None:  # not an intact parsed row
+            self._check_values(values)
         node = self.root
         while not isinstance(node, LeafNode):
             v = values[node.attribute]
@@ -243,13 +241,25 @@ class HoeffdingTree:
                 return self.apply_split(leaf, decision)
         return None
 
-    def _check_numeric(self, values) -> None:
+    def _check_values(self, values) -> None:
         """Raise naming the first numeric value that `domain_problem`
-        refuses: a bool, not a real number, or not in [-1, 1]."""
+        refuses (a bool, not a real number, or not in [-1, 1]), else the
+        first categorical code that is not an int in 0..cardinality-1."""
         for i in self.stats.numeric_idx:
             problem = domain_problem(values[i])
             if problem:
                 raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) {problem}")
+        for i, card in self._code_ranges:
+            code = values[i]
+            if type(code) is not int or not 0 <= code < card:
+                if type(code) is not int:
+                    what = f"code {code!r}, not an int in"
+                elif code.bit_length() < 64:
+                    what = f"code {code!r}, outside"
+                else:  # no digits: there may be thousands
+                    what = f"a {code.bit_length()}-bit code, outside"
+                raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
+                                 f"has {what} 0..{card - 1}")
 
     def apply_split(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
         e = leaf.eid

@@ -9,6 +9,7 @@ wrapped calls against what the tree itself counted.
 """
 
 import importlib.util
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -58,6 +59,28 @@ def test_every_hook_point_sees_its_calls(name, tmp_path, monkeypatch):
     # the gaussian table fits a CDF, the fixed one converts its split points
     assert (calls["cdf"] > 0) == (name == "gaussian")
     assert (calls["convert"] >= tree.trial_count) == (name == "quantile-fixed")
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_a_hook_installed_mid_stream_sees_every_later_call(name, tmp_path):
+    """A profiler may wrap `observe` once the pool has trained, after its
+    per-element views and pending range blocks exist (520 samples: not a
+    multiple of n_min, whose trials fold the blocks); a pool that had bound
+    its step early would run around the wrapper."""
+    path = str(tmp_path / "s.csv")
+    schema = synth.write_csv(path, "bimodal", 2_000, seed=3)
+    stream = open_stream(path, schema)
+    tree = new_tree(schema, CONFIGS[name])
+    for s in itertools.islice(stream, 520):
+        tree.step(s)
+    assert tree.stats._views and tree.stats._pending
+    calls = Counter()
+    tree.stats.observe = counting(calls, "observe", tree.stats.observe)
+
+    m = interleaved_test_then_train(tree, stream)
+
+    assert m.samples_seen == 1_480
+    assert calls["observe"] == tree.train_count - 520 == 1_480
 
 
 def test_what_the_bench_tracer_reads_is_there():

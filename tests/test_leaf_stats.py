@@ -1,12 +1,18 @@
 """Pooled per-leaf statistics against scalar-model and exact-count oracles."""
 
+import functools
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_kernels import track_quantiles, welford
 from streamtree import fixed_point as fx
 from streamtree.leaf_stats import StatsPool, default_targets
-from streamtree.schema import AttributeSpec, DatasetSchema, Sample
+from streamtree.schema import AttributeSpec, DatasetSchema, Sample, open_stream
 from streamtree.split_eval import evaluate_split_trial
 from streamtree.tree import TreeConfig
 
@@ -374,7 +380,11 @@ def stream(seed, n=40):
 
 
 def element_bytes(pool, e):
-    return {key: arr[e].tobytes() for key, (arr, _) in pool.element_arrays.items()}
+    """Element e's statistics as bytes, by snapshot key; min_a and max_a are
+    read through the pool, which folds their pending rows first."""
+    arrays = {key: arr for key, (arr, _) in pool.element_arrays.items()}
+    arrays.update(min_a=pool.min_a, max_a=pool.max_a)
+    return {key: arr[e].tobytes() for key, arr in arrays.items()}
 
 
 class TestElementViews:
@@ -406,6 +416,152 @@ class TestElementViews:
             observe(pool, 1, s)
             observe(fresh, 1, s)
         assert element_bytes(pool, 1) == element_bytes(fresh, 1)
+
+
+SEVERAL = DatasetSchema(
+    (
+        AttributeSpec("a0", "numeric", declared_min=-1.0, declared_max=1.0),
+        AttributeSpec("c1", "categorical", cardinality=3),
+        AttributeSpec("a2", "numeric", declared_min=-1.0, declared_max=1.0),
+        AttributeSpec("a3", "numeric", declared_min=-1.0, declared_max=1.0),
+    ),
+    2,
+)
+RANGE_SCHEMAS = {
+    "one-numeric": DatasetSchema((TWO_NUM.attributes[0],), 2),
+    "several-numeric": SEVERAL,
+}
+
+
+# value sets a burst of samples draws its numeric values from: those
+# without -1 let a zero be the minimum, those without 1 the maximum
+PALETTES = ((0.0, -0.0), (0.0, -0.0, 0.5), (0.0, -0.0, -0.5), (0.0, -0.0, 1.0, -1.0, None))
+
+
+def drawn_values(schema, rng, palette=PALETTES[-1]):
+    """A hand-built row: numeric values from `palette` (None: one inside
+    [-1, 1]), and codes."""
+    values = []
+    for a in schema.attributes:
+        if a.kind == "numeric":
+            v = palette[rng.integers(len(palette))]
+            values.append(float(rng.uniform(-1, 1)) if v is None else v)
+        else:
+            values.append(int(rng.integers(a.cardinality)))
+    return values
+
+
+@functools.cache
+def parsed_samples(name, palette):
+    """The parsed samples of RANGE_SCHEMAS[name] whose numeric values are
+    in `palette`, out of 300; the parser never yields -0.0."""
+    schema = RANGE_SCHEMAS[name]
+    rng = np.random.default_rng(7)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(300):
+                fields = [repr(v) for v in drawn_values(schema, rng)]
+                fh.write(",".join(fields + [str(rng.integers(2))]) + "\n")
+        samples = list(open_stream(path, schema))
+    assert all(s.values.numeric is not None for s in samples)
+    return [s for s in samples
+            if None in palette or set(s.values.numeric.tolist()) <= set(palette)]
+
+
+# (e, count, seed, op, e2, e3): a burst of `count` parsed and hand-built
+# samples into element e, then `op`, a read or a reset of element e2 (a
+# load takes e3's doc before the burst)
+range_steps = st.lists(st.tuples(
+    st.integers(0, 2), st.integers(0, 150), st.integers(0, 2**32 - 1),
+    st.sampled_from(["split_points", "element_doc", "snapshot_doc", "validate", "recycle",
+                     "load_element"]),
+    st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=8)
+
+
+class TestWriteBehindRange:
+    """observe writes an element's numeric rows into a block that is folded
+    into min_a/max_a when full and before every read; every read must see
+    the bytes a np.minimum/np.maximum per sample gives, signed zeros
+    included."""
+
+    @pytest.mark.parametrize("kw", [{}, {"backend": "fixed"}, {"method": "gaussian"}])
+    @pytest.mark.parametrize("name", sorted(RANGE_SCHEMAS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=range_steps)
+    # 17 pending rows whose maximum is a zero: numpy's reduction kept -0.0
+    # where the row order keeps 0.0
+    @example(steps=[(0, 145, 40007, "split_points", 0, 0)])
+    def test_reads_match_an_eager_range(self, name, kw, steps):
+        schema = RANGE_SCHEMAS[name]
+        pool = make_pool(schema, capacity=3, live=3, **kw)
+        idx = list(pool.numeric_idx)
+        lo = np.full((3, len(idx)), np.inf)
+        hi = np.full((3, len(idx)), -np.inf)
+        raw_lo, raw_hi = pool.element_arrays["min_a"][0], pool.element_arrays["max_a"][0]
+
+        def same(got, e):
+            assert np.asarray(got[0], dtype=np.float64).tobytes() == lo[e].tobytes()
+            assert np.asarray(got[1], dtype=np.float64).tobytes() == hi[e].tobytes()
+
+        for e, count, seed, op, e2, e3 in steps:
+            if op == "load_element":  # a doc taken before the burst
+                doc, lo_doc, hi_doc = pool.element_doc(e3), lo[e3].copy(), hi[e3].copy()
+            rng = np.random.default_rng(seed)
+            palette = PALETTES[rng.integers(len(PALETTES))]
+            parsed = parsed_samples(name, palette)
+            for _ in range(count):
+                if parsed and rng.random() < 0.5:
+                    s = parsed[rng.integers(len(parsed))]
+                    xv = s.values.numeric
+                else:
+                    s = Sample(drawn_values(schema, rng, palette), int(rng.integers(2)))
+                    xv = np.array([s.values[i] for i in idx], dtype=np.float64)
+                observe(pool, e, s)
+                np.minimum(lo[e], xv, out=lo[e])
+                np.maximum(hi[e], xv, out=hi[e])
+            if op == "split_points":
+                valid, _ = pool.split_points(e2, 4)
+                same((raw_lo[e2], raw_hi[e2]), e2)
+                assert valid.tolist() == (lo[e2] < hi[e2]).tolist()
+            elif op == "element_doc":
+                doc = pool.element_doc(e2)
+                same((doc["min_a"], doc["max_a"]), e2)
+            elif op == "snapshot_doc":
+                for key, doc in pool.snapshot_doc()["elements"].items():
+                    same((doc["min_a"], doc["max_a"]), int(key))
+            elif op == "validate":
+                pool.validate([0, 1, 2])
+                for k in range(3):
+                    same((raw_lo[k], raw_hi[k]), k)
+            elif op == "recycle":
+                pool.release(e2)
+                lo[e2], hi[e2] = np.inf, -np.inf
+                same((pool.min_a[e2], pool.max_a[e2]), e2)
+                assert pool.alloc() == e2
+            else:
+                pool.load_element(e2, doc)
+                lo[e2], hi[e2] = lo_doc, hi_doc
+        for k in range(3):
+            same((pool.min_a[k], pool.max_a[k]), k)
+
+    @pytest.mark.parametrize("name", sorted(RANGE_SCHEMAS))
+    def test_a_fold_keeps_the_zero_the_row_order_keeps(self, name):
+        schema = RANGE_SCHEMAS[name]
+        rng = np.random.default_rng(11)
+        for palette in PALETTES[:3]:
+            pool = make_pool(schema, capacity=1)
+            lo = np.full(len(pool.numeric_idx), np.inf)
+            hi = -lo
+            for _ in range(3000):
+                s = Sample(drawn_values(schema, rng, palette), 0)
+                observe(pool, 0, s)
+                xv = np.array([s.values[i] for i in pool.numeric_idx])
+                np.minimum(lo, xv, out=lo)
+                np.maximum(hi, xv, out=hi)
+                if rng.random() < 1 / 40:  # a read after 1 to ~64 pending rows
+                    assert pool.min_a[0].tobytes() == lo.tobytes()
+                    assert pool.max_a[0].tobytes() == hi.tobytes()
 
 
 class TestFixedBackend:

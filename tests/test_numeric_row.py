@@ -100,13 +100,49 @@ def test_a_numeric_row_cannot_be_reassigned(tmp_path):
     tree.validate()
 
 
+class Forwarding(list):
+    """A library caller's list that carries arrays where a parsed row's are."""
+
+    forwarded = None
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_only_the_parsers_own_row_is_trusted(config, tmp_path):
+    """The tree checks every row but an intact parsed one, and `observe`
+    reads forwarded arrays from a parsed row only, so neither a look-alike
+    list nor an assignment can carry unchecked values into the pool."""
+    path = str(tmp_path / "s.csv")
+    schema = synth.write_csv(path, "threshold", 300, seed=2)
+    samples = list(open_stream(path, schema))
+    with pytest.raises(AttributeError):
+        samples[0].values.forwarded = (np.array([np.nan, np.nan]), None, 0)
+    tree, plain = new_tree(schema, config), new_tree(schema, config)
+    tree.train(samples[:200])
+    plain.train(samples[:200])
+    before = tree.snapshot()
+    # out-of-domain values behind in-domain arrays: refused
+    bad = Forwarding([np.nan, 1])
+    bad.forwarded = (np.array([0.1, 1.0]), None, 0)
+    with pytest.raises(ValueError, match="not in \\[-1, 1\\]: nan"):
+        tree.step(Sample(bad, 0))
+    assert tree.snapshot() == before
+    # in-domain values in front of NaN arrays: learnt as the plain list
+    for s in samples[200:]:
+        row = Forwarding(s.values)
+        row.forwarded = (np.full(len(row), np.nan), None, 0)
+        tree.step(Sample(row, s.label))
+        plain.step(Sample(list(s.values), s.label))
+    assert tree.snapshot() == plain.snapshot()
+    tree.validate()
+
+
 @pytest.mark.parametrize("backend, rounded", [("float", False), ("fixed", True)])
 def test_a_chunk_is_rounded_only_for_a_learner_that_asks(backend, rounded, tmp_path):
     path = str(tmp_path / "s.csv")
     schema = synth.write_csv(path, "bimodal", 100, seed=3)
     samples = list(open_stream(path, schema))
     new_tree(schema, TreeConfig(numeric_backend=backend)).train(samples)
-    assert {s.values.forwarded[1].raw is not None for s in samples} == {rounded}
+    assert {s.values._fwd[1].raw is not None for s in samples} == {rounded}
 
 
 @pytest.mark.parametrize("lam, clips", [(0.01, False), (1.0, False), (1.2, True)])

@@ -234,8 +234,14 @@ def test_restored_tracker_outside_q2_30_is_rejected():
     blob = tree.snapshot()
     seeded = b'"qraw":[[[%d,' % oracle_raw(Fraction(0.3))
     assert seeded in blob
-    for raw in (fx.RAW_MAX, fx.RAW_MIN):
+    # a tracker steps toward samples in [-1, 1], so no input takes it
+    # further than one of its steps outside [-SCALE, SCALE]
+    up, down = tree.stats.step_up[0, 0].item(), tree.stats.step_down[0, 0].item()
+    for raw in (fx.SCALE + up, -fx.SCALE - down):
         restore(blob.replace(seeded, b'"qraw":[[[%d,' % raw))
+    for raw in (fx.SCALE + up + 1, -fx.SCALE - down - 1, fx.RAW_MAX, fx.RAW_MIN):
+        with pytest.raises(SnapshotError, match="further than one of its steps outside"):
+            restore(blob.replace(seeded, b'"qraw":[[[%d,' % raw))
     for raw in (1 << 40, fx.RAW_MAX + 1, fx.RAW_MIN - 1):
         with pytest.raises(SnapshotError, match="raw tracker lies outside Q2.30"):
             restore(blob.replace(seeded, b'"qraw":[[[%d,' % raw))

@@ -472,6 +472,41 @@ def test_restore_costs_live_elements_not_capacity(tmp_path):
     assert int(out.stdout) < 20_000  # kB
 
 
+HWM_AROUND_TRAINING = """
+import numpy as np
+from streamtree import AttributeSpec, DatasetSchema, Sample, TreeConfig, new_tree
+
+def vm_hwm_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+schema = DatasetSchema(tuple(AttributeSpec(f"a{i}", "numeric", declared_min=-1.0,
+                                           declared_max=1.0) for i in range(54)), 7)
+rng = np.random.default_rng(5)
+x = rng.uniform(-1.0, 1.0, size=(2000, 54))
+labels = np.minimum(((x[:, 0] + 1.0) * 3.5).astype(int), 6).tolist()
+samples = [Sample(row, y) for row, y in zip(x.tolist(), labels)]
+before = vm_hwm_kb()
+tree = new_tree(schema, TreeConfig(max_leaves=50_000))
+tree.train(samples)
+assert tree.split_count > 0
+print(vm_hwm_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_training_costs_live_elements_not_capacity():
+    # a covtype-shaped tree of 50,000 elements: the per-element views and
+    # write-behind range blocks are built for the elements that train, so
+    # nothing of theirs is per capacity (one (A,) float row per element
+    # would take 21.6 MB)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tree_module.__file__)))
+    out = subprocess.run([sys.executable, "-c", HWM_AROUND_TRAINING],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) < 20_000  # kB
+
+
 @functools.cache
 def xor_payload() -> bytes:
     """A snapshot of a tree capped at 16 leaves and depth 3 after 10,000
@@ -827,6 +862,17 @@ class TestSnapshotValidation:
         doc = json.loads(tree.snapshot())
         self.element(doc)[key][0][0] = bad
         self.rejects(doc, "gaussian mean is not in \\[-1, 1\\], or its variance sum is negative")
+
+    @pytest.mark.parametrize("bad", [1e308, 1.5, -1.5])
+    def test_tracker_no_input_produces(self, bad):
+        # a tracker is seeded at a sample in [-1, 1] and steps toward each
+        # later one, so at lam 0.01 none lies past 1 + 0.01 or -1 - 0.01
+        doc = self.doc()
+        assert doc["config"]["lam"] == 0.01
+        for at in self.AT:
+            doc = self.doc()
+            self.element(doc, at)["qvals"][0][0][0] = bad
+            self.rejects(doc, "tracker lies further than one of its steps outside \\[-1, 1\\]")
 
     @pytest.mark.parametrize("lo, hi", [(0.5, -math.inf), (math.inf, 0.5),
                                         (math.nan, -math.inf), (math.inf, math.inf)])
