@@ -6,9 +6,11 @@ edge instead of wrapping, at any finite magnitude (2.5, 1e10 and 1e300
 all give RAW_MAX). Raw words are int64 arrays, read back as `raw / SCALE`;
 there are no scalar copies. The fixed numeric backend keeps its quantile
 trackers as raw words and steps them toward samples in [-1, 1], whose
-words never saturate: `quantize_array` rounds those with no edge test (the CSV parser rounds
-each chunk's normalized block with it, once, when the learner first asks
-for a row's words; `leaf_stats` a hand-built sample). `float_to_raw_array`
+words never saturate: `quantize_array` rounds those with no edge test.
+Only `leaf_stats.StatsPool` calls it on samples: a parsed chunk's
+normalized float64 block whole, the first time one of its rows arrives,
+and a hand-built row on its own; the CSV parser knows no backend and
+forwards the block as is. `float_to_raw_array`
 brings split points and gains into tracker units, clipping only when a
 value saturates. `mul_raw_array` forms the tracker steps, and
 `saturate_raw_array` clips a step when the gain makes steps long enough

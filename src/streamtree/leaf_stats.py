@@ -37,15 +37,16 @@ well under half the time it takes to broadcast the row.
 
 `observe` reaches an element's per-class banks and its range block
 through views built on the element's first sample, not per capacity;
-they stay valid because recycling and loading write in place. The range
-is written behind: `observe` stores the sample's numeric row in the
-element's block of RANGE_BLOCK_ROWS rows, and the block is folded into
-`min_a`/`max_a` with one min and one max reduction when it is full and
-before every read: `split_points` (the trial), `element_doc` and
-`snapshot_doc`, `validate`, and the `min_a`/`max_a` properties. Only
-elements with pending rows are folded; `alloc`, `release` and
-`load_element` discard an element's pending rows. The fold keeps the bits
-a np.minimum/np.maximum per sample gives, signed zeros included.
+they stay valid because loading writes in place, and `release` drops
+them, so only live elements hold views. The range is written behind:
+`observe` stores the sample's numeric row in the element's block of
+RANGE_BLOCK_ROWS rows, and the block is folded into `min_a`/`max_a` when
+it is full and before every read: `split_points` (the trial),
+`element_doc` and `snapshot_doc`, `validate`, and the `min_a`/`max_a`
+properties. Only elements with pending rows are folded; `release` and
+`load_element` discard an element's pending rows. No row holds -0.0, so
+min and max are order-free and the fold is one reduction per extreme,
+with the bits a np.minimum/np.maximum per sample gives.
 
 Snapshots keep the (A, |C|, Q) and (A, |C|) nesting per element under the
 same keys. `snapshot_doc` writes all live elements at once: per key, one
@@ -54,29 +55,32 @@ block of their rows, transposed into that nesting, and one `tolist()`.
 and one store per key; `element_doc` and `load_element` are the
 one-element case of the same code.
 
-`observe` takes numeric values in [-1, 1]. On a parsed sample it reads the
-float64 row and its chunk's Q2.30 words that `SampleStream` forwards in
-the values' private slot, and it trusts that slot only on the parser's
-own row type; any other list, as a library caller builds it (its range
-checked by the caller), becomes one array. What the config fixes (method,
-backend, whether any attribute is categorical, `clip_steps`) is decided
-once per pool. `observe` returns the element's updated sample count and
-the sample's class count as Python ints, so the tree reads neither back
-from the arrays.
+`observe` takes numeric values in [-1, 1]. On a parsed sample it reads its
+row of the normalized float64 chunk that `SampleStream` forwards in the
+values' private slot, and it trusts that slot only on the parser's own
+row type; any other list, as a library caller builds it (its range
+checked by the caller), becomes one array, plus 0.0, so that a hand-built
+-0.0 learns as the 0.0 the parser would yield. What the config fixes
+(method, backend, whether any attribute is categorical, `clip_steps`) is
+decided once per pool. `observe` returns the element's updated sample
+count and the sample's class count as Python ints, so the tree reads
+neither back from the arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
 reals enter tracker units, and in saturation. On the fixed backend no
-value in [-1, 1] saturates on conversion: an intact parsed row is stepped
-from the words the parser rounded it to, any other row is rounded once
-with `fx.quantize_array`. Trackers start inside Q2.30 (seeded at a
-sample's word; `restore` rejects a payload whose trackers do not), and a
-step moves a tracker toward the sample by at most one step, so only a
-step of about 1.0 or longer can leave Q2.30: then (`clip_steps`, decided
-once per pool, `lam` past ~1.1 at Q = 8) every step is clipped and
-`saturation_count` counts the lanes clipped; otherwise it stays 0. Only
-`StatsPool` knows which arrays an element owns: recycling and snapshots
-walk `element_arrays`.
+value in [-1, 1] saturates on conversion: the pool alone rounds with
+`fx.quantize_array`, a parsed chunk whole the first time one of its rows
+arrives (cached by identity, so a stream in order rounds each chunk
+once, and samples out of chunk order round it again at each switch, to
+the same words), any other row on its own. Trackers start inside Q2.30
+(seeded at a sample's word; `restore` rejects a payload whose trackers
+do not), and a step moves a tracker toward the sample by at most one
+step, so only a step of about 1.0 or longer can leave Q2.30: then
+(`clip_steps`, decided once per pool, `lam` past ~1.1 at Q = 8) every
+step is clipped and `saturation_count` counts the lanes clipped;
+otherwise it stays 0. Only `StatsPool` knows which arrays an element
+owns: recycling and snapshots walk `element_arrays`.
 
 Categorical counts live in one array, `hist`, of shape (capacity, sum of
 cardinalities, |C|): attribute `cat_idx[k]` owns one row per code from
@@ -269,6 +273,8 @@ class StatsPool:
         self._views: dict[int, tuple] = {}
         # element -> rows of its range block not yet folded into its range
         self._pending: dict[int, int] = {}
+        # the parser's last chunk seen and its Q2.30 words (fixed backend)
+        self._chunk = self._words = None
         self.free_list = list(range(capacity - 1, -1, -1))  # pops 0, 1, 2, ...
 
     @property
@@ -291,15 +297,16 @@ class StatsPool:
         if not self.free_list:
             raise RuntimeError("element pool exhausted")
         e = self.free_list.pop()
-        self._pending.pop(e, None)
         self._min_a[e] = np.inf
         self._max_a[e] = -np.inf
         return e
 
     def release(self, e: int) -> None:
-        """Recycle element e: reset its statistics in place, count it, free its id."""
+        """Recycle element e: reset its statistics in place, drop its views,
+        count it, free its id."""
         self.generation[e] += 1
         self._pending.pop(e, None)
+        self._views.pop(e, None)
         for arr, empty in self.element_arrays.values():
             arr[e] = empty
         self.free_list.append(e)
@@ -436,8 +443,8 @@ class StatsPool:
     def _element_views(self, e: int) -> tuple:
         """Element e's (per-class banks, range block): a bank is the class's
         (Q, A) trackers or its (g_mean, g_vsum) rows, as views that stay
-        valid while the arrays do, since `release` and `load_element` write
-        in place. The block holds RANGE_BLOCK_ROWS numeric rows."""
+        valid while the arrays do, since `load_element` writes in place;
+        `release` drops them. The block holds RANGE_BLOCK_ROWS numeric rows."""
         if self._quantile:
             banks = list(self.trackers[e])
         else:
@@ -448,18 +455,11 @@ class StatsPool:
 
     def _fold(self, e: int, k: int) -> None:
         """Fold the first k rows of element e's range block into its
-        min_a/max_a rows, with the bits a np.minimum/np.maximum per row
-        gives: one reduction each, and a row-by-row accumulation of the
-        attributes whose extreme is a zero. -0.0 == 0.0, and a reduction
-        (which numpy may reorder) need not keep the zero that the row
-        order keeps."""
+        min_a/max_a rows with one reduction each: no row holds -0.0, so
+        the order numpy reduces in cannot change the bits."""
         rows = self._views[e][1][:k]
         for ufunc, out in ((np.minimum, self._min_a[e]), (np.maximum, self._max_a[e])):
-            extreme = ufunc.reduce(rows)
-            if np.count_nonzero(extreme) < extreme.size:
-                zero = extreme == 0.0
-                extreme[zero] = ufunc.accumulate(rows[:, zero])[-1]
-            ufunc(out, extreme, out=out)
+            ufunc(out, ufunc.reduce(rows), out=out)
 
     def _fold_all(self) -> None:
         """Fold every element's pending range rows."""
@@ -476,11 +476,14 @@ class StatsPool:
         self.n_fj[e, label] = cj
 
         if self.numeric_idx:
-            # the parser's float64 row and its chunk's words, or one array built here
+            # the parser's chunk and row, or one array built here, -0.0 made 0.0
             if type(values) is _Row and values._fwd is not None:
-                xv, words, at = values._fwd
+                chunk, at = values._fwd
+                xv = chunk[at]
             else:
-                xv, words = np.array([values[i] for i in self.numeric_idx], dtype=np.float64), None
+                chunk = None
+                xv = np.array([values[i] for i in self.numeric_idx], dtype=np.float64)
+                xv += 0.0
             views = self._views.get(e)
             if views is None:
                 views = self._element_views(e)
@@ -498,8 +501,12 @@ class StatsPool:
             if self._quantile:
                 if not self._fixed:
                     xt = xv
-                else:  # values in [-1, 1] never saturate on conversion
-                    xt = fx.quantize_array(xv) if words is None else words.row(at)
+                elif chunk is None:  # values in [-1, 1] never saturate on conversion
+                    xt = fx.quantize_array(xv)
+                else:
+                    if chunk is not self._chunk:
+                        self._chunk, self._words = chunk, fx.quantize_array(chunk)
+                    xt = self._words[at]
                 v = banks[label]
                 if cj == 1:
                     v[...] = xt

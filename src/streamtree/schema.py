@@ -19,10 +19,12 @@ constant in file size: one chunk of lines and a few chunk-sized arrays
 parser refuses, for whatever reason, goes through the one per-row
 function instead; that function defines what the stream accepts, yields
 the rows before a bad one and names the bad row in its
-StreamFormatError. A block-parsed sample's values list also carries its
-numeric values as the parser's read-only float64 row, `values.numeric`,
-and that row's Q2.30 words, `values.raw`: the chunk's block is rounded
-once, on the first request. The learner's statistics take both as is.
+StreamFormatError. A block-parsed sample's values list also forwards,
+in a private slot, the chunk's read-only normalized float64 block and the
+row's index in it, and nothing else: the parser knows no learner backend,
+and the learner's statistics (`leaf_stats.StatsPool`) turn the block into
+their own units. Neither path yields -0.0: a normalized value is a
+difference minus 1.0, whose zero is +0.0, or a clamp to -1.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from numbers import Real
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
-
-from . import fixed_point as fx
 
 
 class SchemaError(ValueError):
@@ -121,43 +121,16 @@ class Sample(NamedTuple):
     label: int
 
 
-class _Words:
-    """A chunk's normalized numeric block, and its read-only Q2.30 words
-    once a row of them is first asked for: the block is rounded at most
-    once, and never for a learner that does not ask (the float backend)."""
-
-    __slots__ = ("norm", "raw")
-
-    def __init__(self, norm: np.ndarray):
-        self.norm, self.raw = norm, None
-
-    def row(self, at: int) -> np.ndarray:
-        if self.raw is None:
-            self.raw = fx.quantize_array(self.norm)  # |norm| <= 1: nothing saturates
-            self.raw.flags.writeable = False
-        return self.raw[at]
-
-
 class _Row(list):
-    """A parsed sample's values that also carry its numeric values, in
-    attribute order, as the parser's read-only rows: float64 `numeric`
-    and their Q2.30 words `raw`, so the learner need not build either
-    again. Both travel in one private slot, `_fwd` = (numeric, the
-    chunk's `_Words`, row index), which is None once the list changes, so
-    no stale row outlives the values it came with. Neither can be
-    assigned: the tree checks every row but an intact one of this type,
-    and the learner trusts the slot on this type only."""
+    """A parsed sample's values that also forward, in one private slot,
+    `_fwd` = (block, row), the parser's read-only normalized float64 chunk
+    and the row's index in it, so the learner need not build the numeric
+    row again. The slot is None once the list changes, so no stale row
+    outlives the values it came with; the tree checks every row but an
+    intact one of this type, and the learner trusts the slot on this type
+    only."""
 
     __slots__ = ("_fwd",)
-
-    @property
-    def numeric(self):
-        return None if self._fwd is None else self._fwd[0]
-
-    @property
-    def raw(self):
-        fwd = self._fwd
-        return None if fwd is None else fwd[1].row(fwd[2])
 
 
 def _drops_forwarded(name: str):
@@ -527,8 +500,7 @@ class _Block:
                 mixed[:, at] = part  # float64 -> float, int64 -> int
             rows = mixed.tolist()
         if self.numeric:
-            words = zip(norm, itertools.repeat(_Words(norm)), itertools.count())
-            rows = map(_numeric_row, rows, words)
+            rows = map(_numeric_row, rows, zip(itertools.repeat(norm), itertools.count()))
         # tuple.__new__ builds each Sample without a Python-level __new__ call
         samples = map(tuple.__new__, itertools.repeat(Sample), zip(rows, labels))
         return zip(samples, clamps)

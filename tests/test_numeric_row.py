@@ -1,13 +1,17 @@
 """The parser's numeric rows, carried on each parsed sample into `observe`.
 
-`SampleStream` attaches each row's normalized numeric values, as the
-float64 array it computed them in, and their Q2.30 words to the sample's
-`values` list. The learner must decide exactly as it does on a plain
-`Sample(list, int)` that a library caller builds: same predictions, same
-split log, same snapshot bytes, same saturation count.
+`SampleStream` attaches to each sample's `values` list the chunk's
+normalized float64 block it computed the values in, and the row's index
+in it; the learner's pool rounds the block to Q2.30 words itself. The
+learner must decide exactly as it does on a plain `Sample(list, int)`
+that a library caller builds: same predictions, same split log, same
+snapshot bytes, same saturation count, in any order and from any number
+of streams.
 """
 
+import math
 import os
+import random
 import tempfile
 
 import numpy as np
@@ -16,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamtree import fixed_point as fx
-from streamtree import synth
+from streamtree import harness, synth
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample, open_stream
 from streamtree.tree import TreeConfig, new_tree
 
@@ -44,6 +48,15 @@ def numeric_idx(schema):
     return [i for i, a in enumerate(schema.attributes) if a.kind == "numeric"]
 
 
+def forwarded_row(s):
+    """The parsed sample's row of the block it forwards, or None once its
+    list changed."""
+    if s.values._fwd is None:
+        return None
+    block, at = s.values._fwd
+    return block[at]
+
+
 @pytest.mark.parametrize("preset", sorted(synth.PRESETS))
 def test_row_is_the_numeric_values_bit_for_bit(preset, tmp_path):
     path = str(tmp_path / "s.csv")
@@ -51,13 +64,9 @@ def test_row_is_the_numeric_values_bit_for_bit(preset, tmp_path):
     idx = numeric_idx(schema)
     count = 0
     for s in open_stream(path, schema):
-        row = s.values.numeric
+        row = forwarded_row(s)
         assert row.dtype == np.float64 and not row.flags.writeable
         assert row.tobytes() == np.array([s.values[i] for i in idx], dtype=np.float64).tobytes()
-        raw = s.values.raw
-        assert raw.dtype == np.int64 and not raw.flags.writeable
-        words, saturated = fx.float_to_raw_array(row)
-        assert (raw == words).all() and saturated == 0
         count += 1
     assert count == 500
 
@@ -70,7 +79,7 @@ def test_a_changed_list_drops_its_row(tmp_path):
                lambda v: v.sort(), lambda v: v.__iadd__([0.1])]
     for s, change in zip(samples, changes):
         change(s.values)
-        assert s.values.numeric is None and s.values.raw is None
+        assert forwarded_row(s) is None
     # a changed sample trains as the plain list it now is
     parsed, plain = new_tree(schema), new_tree(schema)
     s = samples[0]
@@ -80,8 +89,9 @@ def test_a_changed_list_drops_its_row(tmp_path):
 
 
 def test_a_numeric_row_cannot_be_reassigned(tmp_path):
-    """The tree checks only a row without the parser's words, so neither
-    the row nor its words may be swapped for unchecked values."""
+    """The tree checks only a row without the parser's block, so neither
+    a public attribute nor a write into the block may swap the row for
+    unchecked values."""
     path = str(tmp_path / "s.csv")
     schema = synth.write_csv(path, "bimodal", 300, seed=2)
     tree = new_tree(schema, TreeConfig(n_min=50, numeric_backend="fixed"))
@@ -89,12 +99,15 @@ def test_a_numeric_row_cannot_be_reassigned(tmp_path):
     tree.train(samples[:200])
     before = tree.snapshot()
     for s in samples[200:]:
-        row = s.values.numeric
+        fwd = s.values._fwd
+        row = forwarded_row(s)
         for name, value in (("numeric", np.array([np.nan, np.nan])), ("numeric", -row),
-                            ("numeric", np.zeros(3)), ("raw", s.values.raw)):
+                            ("raw", fx.quantize_array(row)), ("forwarded", fwd)):
             with pytest.raises(AttributeError):
                 setattr(s.values, name, value)
-        assert s.values.numeric is row
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = np.nan
+        assert s.values._fwd is fwd
     assert tree.snapshot() == before
     tree.train(samples[200:])
     tree.validate()
@@ -115,34 +128,71 @@ def test_only_the_parsers_own_row_is_trusted(config, tmp_path):
     schema = synth.write_csv(path, "threshold", 300, seed=2)
     samples = list(open_stream(path, schema))
     with pytest.raises(AttributeError):
-        samples[0].values.forwarded = (np.array([np.nan, np.nan]), None, 0)
+        samples[0].values.forwarded = (np.array([[np.nan, np.nan]]), 0)
     tree, plain = new_tree(schema, config), new_tree(schema, config)
     tree.train(samples[:200])
     plain.train(samples[:200])
     before = tree.snapshot()
     # out-of-domain values behind in-domain arrays: refused
     bad = Forwarding([np.nan, 1])
-    bad.forwarded = (np.array([0.1, 1.0]), None, 0)
+    bad.forwarded = (np.array([[0.1, 1.0]]), 0)
     with pytest.raises(ValueError, match="not in \\[-1, 1\\]: nan"):
         tree.step(Sample(bad, 0))
     assert tree.snapshot() == before
     # in-domain values in front of NaN arrays: learnt as the plain list
     for s in samples[200:]:
         row = Forwarding(s.values)
-        row.forwarded = (np.full(len(row), np.nan), None, 0)
+        row.forwarded = (np.full((1, len(row)), np.nan), 0)
         tree.step(Sample(row, s.label))
         plain.step(Sample(list(s.values), s.label))
     assert tree.snapshot() == plain.snapshot()
     tree.validate()
 
 
+def counting_quantize(monkeypatch):
+    """The arrays `fx.quantize_array` is called on, from now on."""
+    calls, quantize = [], fx.quantize_array
+
+    def counted(x):
+        calls.append(x)
+        return quantize(x)
+
+    monkeypatch.setattr(fx, "quantize_array", counted)
+    return calls
+
+
+def chunks_rounded(calls, samples):
+    """How often each parsed chunk of `samples`, in stream order, was
+    rounded; other arrays (split points, gains) are not counted."""
+    chunks = list({id(s.values._fwd[0]): s.values._fwd[0] for s in samples}.values())
+    return [sum(x is c for x in calls) for c in chunks]
+
+
 @pytest.mark.parametrize("backend, rounded", [("float", False), ("fixed", True)])
-def test_a_chunk_is_rounded_only_for_a_learner_that_asks(backend, rounded, tmp_path):
+def test_a_chunk_is_rounded_only_for_a_learner_that_asks(backend, rounded, tmp_path,
+                                                        monkeypatch):
+    """The parser rounds nothing; a fixed pool rounds each chunk of a
+    stream read in order once, a float pool never calls the rounding."""
+    path = str(tmp_path / "s.csv")
+    schema = synth.write_csv(path, "bimodal", 100, seed=3)
+    calls = counting_quantize(monkeypatch)
+    samples = list(open_stream(path, schema))
+    assert calls == []
+    new_tree(schema, TreeConfig(numeric_backend=backend)).train(samples)
+    assert chunks_rounded(calls, samples) == [int(rounded)] * 4  # 100 rows, 32 a chunk
+    if not rounded:
+        assert calls == []
+
+
+def test_two_fixed_trees_in_one_pass_round_each_chunk_once_each(tmp_path, monkeypatch):
     path = str(tmp_path / "s.csv")
     schema = synth.write_csv(path, "bimodal", 100, seed=3)
     samples = list(open_stream(path, schema))
-    new_tree(schema, TreeConfig(numeric_backend=backend)).train(samples)
-    assert {s.values._fwd[1].raw is not None for s in samples} == {rounded}
+    calls = counting_quantize(monkeypatch)
+    configs = [TreeConfig(numeric_backend="fixed"), TreeConfig(),
+               TreeConfig(numeric_backend="fixed", n_min=50)]
+    harness.run_many(lambda: iter(samples), schema, configs)
+    assert chunks_rounded(calls, samples) == [2] * 4
 
 
 @pytest.mark.parametrize("lam, clips", [(0.01, False), (1.0, False), (1.2, True)])
@@ -157,22 +207,38 @@ def test_pool_decides_once_whether_steps_clip(lam, clips):
         assert new_tree(schema, config).stats.clip_steps is False
 
 
+@pytest.mark.parametrize("config", [pytest.param(CONFIGS[k], id=k)
+                                    for k in ("quantile-float", "quantile-fixed", "gaussian")])
+def test_a_hand_built_negative_zero_learns_as_zero(config):
+    """The parser never yields -0.0, and `observe` makes a hand-built -0.0
+    the 0.0 the parser yields for "-0": rows holding -0.0 give the
+    predictions, split log and snapshot bytes of the same rows with 0.0.
+    x2 is never below zero, so a zero is its minimum in every leaf."""
+    schema = DatasetSchema(MIXED.attributes[:3], 3)
+    rng = np.random.default_rng(5)
+    signed, zeros = [], []
+    for _ in range(3000):
+        x0 = (-0.0, 0.0, -0.5, 0.5, float(rng.uniform(-1, 1)))[rng.integers(5)]
+        x2 = (-0.0, 0.0, float(rng.uniform(0, 1)))[rng.integers(3)]
+        y = int(x0 > 0.25) + int(x2 > 0.5) if rng.random() < 0.9 else int(rng.integers(3))
+        c1 = int(rng.integers(3))
+        signed.append(Sample([x0, c1, x2], y))
+        zeros.append(Sample([x0 + 0.0, c1, x2 + 0.0], y))
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for s in signed for v in s.values)
+    a, b = new_tree(schema, config), new_tree(schema, config)
+    assert [a.step(s) for s in signed] == [b.step(s) for s in zeros]
+    assert a.split_log and a.split_log == b.split_log
+    assert a.snapshot() == b.snapshot()
+
+
 rows = st.lists(
     st.tuples(st.floats(-6.0, 6.0), st.integers(0, 2), st.floats(-0.2, 1.2),
               st.floats(-1.0, 100.0), st.integers(0, 2)),
     min_size=1, max_size=300)
 
 
-@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(rows=rows)
-def test_parsed_samples_learn_as_plain_samples(config, rows):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "s.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            for x0, c1, x2, x3, y in rows:
-                fh.write(f"{x0!r},{c1},{x2!r},{x3!r},{y}\n")
-        parsed = list(open_stream(path, MIXED))
+def learns_as_plain(config, parsed):
+    """The tree fed `parsed` decides as one fed the same rows as plain lists."""
     plain = [Sample(list(s.values), s.label) for s in parsed]
     assert all(type(s.values) is not list for s in parsed)
     a, b = new_tree(MIXED, config), new_tree(MIXED, config)
@@ -180,6 +246,28 @@ def test_parsed_samples_learn_as_plain_samples(config, rows):
     assert a.split_log == b.split_log
     assert a.stats.saturation_count == b.stats.saturation_count
     assert a.snapshot() == b.snapshot()
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=rows)
+def test_parsed_samples_learn_as_plain_samples(config, rows):
+    """In stream order; shuffled, so a fixed pool meets chunks out of
+    order; and two streams interleaved into one tree, so it switches
+    chunks at every sample: each rounding the pool repeats gives the same
+    words."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            for x0, c1, x2, x3, y in rows:
+                fh.write(f"{x0!r},{c1},{x2!r},{x3!r},{y}\n")
+        parsed = list(open_stream(path, MIXED))
+        other = list(open_stream(path, MIXED))[::-1]
+    learns_as_plain(config, parsed)
+    shuffled = parsed[:]
+    random.Random(len(rows)).shuffle(shuffled)
+    learns_as_plain(config, shuffled)
+    learns_as_plain(config, [s for pair in zip(parsed, other) for s in pair])
 
 
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())

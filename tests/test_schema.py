@@ -1,11 +1,18 @@
 """Schema parsing, normalization, and the streaming CSV reader."""
 
+import ast
 import json
+import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from streamtree import schema as schema_module
 from streamtree import synth
 from streamtree.schema import (
     AttributeSpec,
@@ -289,3 +296,65 @@ class TestSynthPresets:
         v0, v1 = np.var(xs0), np.var(xs1)
         assert abs(m0 - m1) < 0.02
         assert abs(v0 - v1) < 0.06
+
+
+# every numeric attribute's range, among them one declared from -0.0
+ZERO_EDGES = ((-1.0, 1.0), (-0.0, 2.0), (-3.0, 0.0), (-1e-300, 1e-300), (0.0, 1e300))
+ZERO_SCHEMA = parse_schema(json.dumps({
+    "attributes": [{"kind": "numeric", "min": lo, "max": hi} for lo, hi in ZERO_EDGES],
+    "classes": 2}))
+assert math.copysign(1.0, ZERO_SCHEMA.attributes[1].declared_min) < 0
+
+
+def zero_prone(lo, hi):
+    """Fields for an attribute declared [lo, hi]: negative zeros (-1e-400
+    parses to -0.0), zeros, the edges and the floats just past them, the
+    midpoint, the infinities and any float."""
+    fields = ["-0", "-0.0", "-0e3", "-1e-400", "0", "0.0", "1e-400", "-inf", "inf",
+              repr(lo), repr(hi), repr(math.nextafter(lo, -math.inf)),
+              repr(math.nextafter(hi, math.inf)), repr(lo / 2 + hi / 2)]
+    return st.sampled_from(fields) | st.floats(allow_nan=False).map(repr)
+
+
+zero_rows = st.lists(st.tuples(*(zero_prone(lo, hi) for lo, hi in ZERO_EDGES),
+                               st.sampled_from("01")), min_size=1, max_size=40)
+
+
+def is_negative_zero(v) -> bool:
+    return v == 0 and math.copysign(1.0, v) < 0
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["block", "per-row"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=zero_rows)
+def test_the_parser_never_yields_negative_zero(quoted, rows):
+    """The range fold relies on it (`leaf_stats.StatsPool._fold`). A quote
+    in a chunk sends it through the per-row parser, so both paths run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            for first, *rest in rows:
+                fh.write(",".join([f'"{first}"' if quoted else first, *rest]) + "\n")
+        samples = list(open_stream(path, ZERO_SCHEMA))
+    assert len(samples) == len(rows)
+    for s in samples:
+        assert not any(map(is_negative_zero, s.values))
+        if quoted:
+            assert type(s.values) is list
+        else:
+            block, _ = s.values._fwd
+            assert not (np.signbit(block) & (block == 0.0)).any()
+
+
+def test_the_parser_imports_no_learner_backend():
+    """The parser forwards its float64 block as is; turning it into a
+    backend's units (Q2.30 words) is the learner's statistics' job."""
+    with open(schema_module.__file__, encoding="utf-8") as fh:
+        module = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+    assert imported and not [name for name in imported if "fixed_point" in name]

@@ -1125,7 +1125,7 @@ class TestParsedRows:
         before = tree.snapshot()
         bad = samples[200]
         bad.values[1] = float("nan")
-        assert bad.values.numeric is None
+        assert bad.values._fwd is None
         for call in (tree.train_one, tree.step, tree.predict):
             with pytest.raises(ValueError, match="attribute 1 .* is not in \\[-1, 1\\]: nan"):
                 call(bad)
