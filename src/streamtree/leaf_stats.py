@@ -33,18 +33,24 @@ memory: its class's (Q, A) bank, stepped against whole (Q, A) up and
 down planes, or a Welford update on (A,) rows. The step compares the bank
 with the sample filled across a per-pool (Q, A) buffer, not with the (A,)
 row: the booleans are the same, and numpy compares two (Q, A) arrays in
-well under half the time it takes to broadcast the row.
+well under half the time it takes to broadcast the row. The select
+between the up and down planes is written into a second per-pool (Q, A)
+buffer, the down plane copied in and the up plane put where the compare
+holds (`np.putmask`), then added to the bank: the lanes and bits of
+`np.where`, without the array it allocates.
 
 `observe` reaches an element's per-class banks and its range block
 through views built on the element's first sample, not per capacity;
 they stay valid because loading writes in place, and `release` drops
 them, so only live elements hold views. The range is written behind:
 `observe` stores the sample's numeric row in the element's block of
-RANGE_BLOCK_ROWS rows, and the block is folded into `min_a`/`max_a` when
-it is full and before every read: `split_points` (the trial),
-`element_doc` and `snapshot_doc`, `validate`, and the `min_a`/`max_a`
-properties. Only elements with pending rows are folded; `release` and
-`load_element` discard an element's pending rows. No row holds -0.0, so
+RANGE_BLOCK_ROWS (32) rows of A float64 values (13,824 bytes at A = 54,
+under the 24,192 bytes of the element's tracker banks at 7 classes and
+Q = 8), and the block is folded into `min_a`/`max_a` when it is full and
+before every read: `split_points` (the trial), `element_doc` and
+`snapshot_doc`, `validate`, and the `min_a`/`max_a` properties. Only
+elements with pending rows are folded; `release` and `load_element`
+discard an element's pending rows. No row holds -0.0, so
 min and max are order-free and the fold is one reduction per extreme,
 with the bits a np.minimum/np.maximum per sample gives.
 
@@ -120,7 +126,7 @@ METHOD_GAUSSIAN = "gaussian"
 BACKEND_FLOAT = "float"
 BACKEND_FIXED = "fixed"
 # rows of an element's write-behind range block (`StatsPool.observe`)
-RANGE_BLOCK_ROWS = 64
+RANGE_BLOCK_ROWS = 32
 
 
 def default_targets(count: int) -> tuple[float, ...]:
@@ -244,6 +250,9 @@ class StatsPool:
             # the sample, filled across a bank's Q rows: a (Q, A) compare
             # costs less than one that broadcasts an (A,) row
             self._sample_bank = np.zeros((Q, A), dtype=dtype)
+            # a step's per-lane select is written here: a copy and a putmask
+            # cost less than the array np.where allocates
+            self._step = np.zeros((Q, A), dtype=dtype)
             self.trackers = np.zeros((capacity, C, Q, A), dtype=dtype)
             self.element_arrays[key] = (self.trackers, 0)
             doc_axes[key] = (2, 0, 1)  # (|C|, Q, A) -> (A, |C|, Q)
@@ -513,7 +522,10 @@ class StatsPool:
                 else:
                     xb = self._sample_bank
                     xb[...] = xt
-                    v += np.where(v < xb, self.step_up, self._neg_step_down)
+                    step = self._step
+                    np.copyto(step, self._neg_step_down)
+                    np.putmask(step, v < xb, self.step_up)
+                    v += step
                     if self.clip_steps:
                         self.saturation_count += fx.saturate_raw_array(v)
             else:

@@ -19,7 +19,11 @@ constant in file size: one chunk of lines and a few chunk-sized arrays
 parser refuses, for whatever reason, goes through the one per-row
 function instead; that function defines what the stream accepts, yields
 the rows before a bad one and names the bad row in its
-StreamFormatError. A block-parsed sample's values list also forwards,
+StreamFormatError. A parsed chunk's samples are built whole when the
+chunk is read and handed out by C iteration (`itertools.chain` over one
+list iterator per chunk), so a sample that is not the chunk's first costs
+one C `next`; `rows_read` and `clamp_count` are read from the current
+chunk's position. A block-parsed sample's values list also forwards,
 in a private slot, the chunk's read-only normalized float64 block and the
 row's index in it, and nothing else: the parser knows no learner backend,
 and the learner's statistics (`leaf_stats.StatsPool`) turn the block into
@@ -51,10 +55,11 @@ class StreamFormatError(ValueError):
 
 # Lines per np.loadtxt call. A refill stalls one sample's step, and one
 # step in CHUNK_LINES is a refill, so its cost must stay under the
-# learner's own p99.9 step (~90-110 us on a 3-column schema, ~300 us on a
-# 55-column one, 2-vCPU Xeon guest, numpy 2.4.6). A 32-line refill step
-# takes ~57 us and ~140 us there; a 64-line one ~85 us and ~250 us, which
-# raised the narrow p99.9 by about a quarter.
+# learner's own p99.9 step (~95-160 us on a 3-column schema, ~240-270 us
+# on a 55-column one, 2-vCPU Xeon guest, numpy 2.4.6). A 32-line refill
+# step, which also builds the chunk's samples, takes ~70 us and ~155 us
+# there, against ~5-6 us for any other step. A 64-line refill step took
+# ~85 us and ~250 us, and raised the narrow p99.9 by about a quarter.
 CHUNK_LINES = 32
 
 
@@ -148,12 +153,6 @@ for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "e
               "insert", "pop", "remove", "clear", "sort", "reverse"):
     setattr(_Row, _name, _drops_forwarded(_name))
 del _name
-
-
-def _numeric_row(values: list, forwarded: tuple) -> _Row:
-    row = _Row(values)
-    row._fwd = forwarded
-    return row
 
 
 def _typed(value, types: tuple, what: str):
@@ -283,14 +282,25 @@ class SampleStream:
     StreamFormatError naming that row. Either way the stream accepts the
     same files and yields the same samples.
 
+    A parsed chunk's samples are built whole, as one list, when the chunk
+    is read, and handed out by ``itertools.chain`` over one list iterator
+    per chunk (one per row on the per-row path). The instance binds the
+    chain's ``__next__`` as its own, so ``stream.__next__`` is C iteration
+    with no Python frame per sample; ``next(stream)`` and ``for`` go
+    through the class's ``__next__`` to the same chain.
+
     Exposes ``clamp_count`` (numeric values outside their declared range)
-    and ``rows_read`` for reporting; both count the rows yielded so far.
+    and ``rows_read`` for reporting, read-only; both count the rows
+    yielded so far: the finished chunks' totals plus the rows taken from
+    the current chunk's iterator.
     """
 
     def __init__(self, path: str, schema: DatasetSchema):
         self.schema = schema
-        self.clamp_count = 0
-        self.rows_read = 0
+        # the finished chunks' totals, and the current chunk's iterator,
+        # length and running clamp counts (None when nothing clamped)
+        self._rows_done = self._clamps_done = 0
+        self._it, self._size, self._cum = iter(()), 0, None
         self._fh = open(path, "r", encoding="utf-8", newline="")
         self._row_no = 0
         if schema.has_header:
@@ -302,7 +312,8 @@ class SampleStream:
         self._label_at = schema.label_index()
         self._expected = schema.attr_count + 1
         self._block = _Block(schema, self._label_at)
-        self._samples = self._read()
+        self._samples = itertools.chain.from_iterable(self._read())
+        self.__next__ = self._samples.__next__
 
     def __iter__(self) -> Iterator[Sample]:
         return self
@@ -310,7 +321,23 @@ class SampleStream:
     def __next__(self) -> Sample:
         return next(self._samples)
 
-    def _read(self) -> Iterator[Sample]:
+    @property
+    def rows_read(self) -> int:
+        return self._rows_done + self._taken()
+
+    @property
+    def clamp_count(self) -> int:
+        taken = self._taken()
+        return self._clamps_done + (self._cum[taken - 1] if taken and self._cum else 0)
+
+    def _taken(self) -> int:
+        """Rows handed out of the current chunk."""
+        return self._size - self._it.__length_hint__()
+
+    def _read(self) -> Iterator[Iterator[Sample]]:
+        """One iterator over each chunk's samples. The chain asks for the
+        next only once the last is exhausted, so a chunk is counted as
+        finished when its successor is handed out."""
         fh = self._fh
         try:
             while lines := list(itertools.islice(fh, CHUNK_LINES)):
@@ -320,17 +347,25 @@ class SampleStream:
                     # last record on into lines past the chunk
                     reader = csv.reader(itertools.chain(lines, fh))
                     while reader.line_num < len(lines):
-                        yield self._row(next(reader))
+                        sample, clamps = self._row(next(reader))
+                        yield self._hand_out([sample], [clamps])
                     continue
                 self._row_no += len(lines)
-                for sample, clamps in parsed:
-                    self.rows_read += 1
-                    self.clamp_count += clamps
-                    yield sample
+                yield self._hand_out(*parsed)
         finally:
             fh.close()
 
-    def _row(self, row: list) -> Sample:
+    def _hand_out(self, samples: list, cum_clamps: list | None) -> Iterator[Sample]:
+        """Count the exhausted chunk as finished and make `samples`, with
+        their running clamp counts, the current chunk."""
+        self._rows_done += self._size
+        if self._cum:
+            self._clamps_done += self._cum[-1]
+        self._size, self._cum = len(samples), cum_clamps
+        self._it = iter(samples)
+        return self._it
+
+    def _row(self, row: list) -> tuple[Sample, int]:
         self._row_no += 1
         if len(row) != self._expected:
             raise StreamFormatError(
@@ -386,9 +421,7 @@ class SampleStream:
                         f"outside 0..{spec.cardinality - 1}"
                     )
                 values.append(code)
-        self.clamp_count += clamps
-        self.rows_read += 1
-        return Sample(values, label)
+        return Sample(values, label), clamps
 
     def close(self) -> None:
         self._fh.close()
@@ -445,7 +478,12 @@ class _Block:
         self.cat_at = [i for i, a in enumerate(attrs) if a.kind == CATEGORICAL]
 
     def parse(self, lines: list):
-        """(sample, clamps) pairs for the chunk's rows, or None to refuse it."""
+        """(samples, cum_clamps) for the chunk, or None to refuse it.
+
+        `samples` is the chunk's `Sample`s as one list, each built by
+        `tuple.__new__` through a map, its numeric values a `_Row`
+        forwarding (block, row index). `cum_clamps` is the running count
+        of clamped values through each row, or None when none clamped."""
         text = "".join(lines)
         limit = csv.field_size_limit()  # csv.reader raises on a longer field
         if (not text.isascii()
@@ -468,7 +506,7 @@ class _Block:
         labels = a["label"].tolist()
         if min(labels) < 0 or max(labels) >= self.class_count:
             return None
-        clamps = itertools.repeat(0, len(a))
+        cum_clamps = None
         parts = []  # (attribute positions, values in those positions)
         if self.categorical:
             codes = _columns(a, self.categorical)
@@ -481,7 +519,7 @@ class _Block:
             if not inside.all():
                 if np.isnan(x).any():
                     return None
-                clamps = (~inside).sum(axis=1).tolist()
+                cum_clamps = (~inside).sum(axis=1).cumsum().tolist()
             with np.errstate(over="ignore", invalid="ignore"):
                 # normalize() on every value: the same float ops, in order
                 norm = x - self.lo
@@ -500,10 +538,12 @@ class _Block:
                 mixed[:, at] = part  # float64 -> float, int64 -> int
             rows = mixed.tolist()
         if self.numeric:
-            rows = map(_numeric_row, rows, zip(itertools.repeat(norm), itertools.count()))
+            rows = list(map(_Row, rows))
+            for at, row in enumerate(rows):
+                row._fwd = (norm, at)
         # tuple.__new__ builds each Sample without a Python-level __new__ call
-        samples = map(tuple.__new__, itertools.repeat(Sample), zip(rows, labels))
-        return zip(samples, clamps)
+        samples = list(map(tuple.__new__, itertools.repeat(Sample), zip(rows, labels)))
+        return samples, cum_clamps
 
 
 def _columns(a: np.ndarray, fields: list) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reference_kernels import track_quantiles
+from streamtree import fixed_point as fx
 from streamtree.harness import _cdf_curve, export_cdf_comparison
 from streamtree.leaf_stats import StatsPool, default_targets
 from streamtree.schema import AttributeSpec, DatasetSchema, Sample
@@ -14,10 +15,11 @@ from streamtree.tree import TreeConfig
 ONE = DatasetSchema((AttributeSpec("x", "numeric", declared_min=-1.0, declared_max=1.0),), 2)
 
 
-def bank_pool(count=8, lam=0.01, attrs=1):
+def bank_pool(count=8, lam=0.01, attrs=1, backend="float"):
     """A one-element quantile pool over `attrs` numeric attributes."""
     schema = DatasetSchema(ONE.attributes * attrs, 2)
-    pool = StatsPool(schema, TreeConfig(quantile_count=count, lam=lam), 1)
+    pool = StatsPool(schema, TreeConfig(quantile_count=count, lam=lam,
+                                        numeric_backend=backend), 1)
     assert pool.alloc() == 0
     return pool
 
@@ -64,6 +66,19 @@ class TestAsymSignum:
         pool.observe(0, [0.4], 0)
         assert bank(pool)[0] == 0.4 - 0.01 * 0.75
         assert bank(pool) == [0.4 - 0.01 * (1 - a) for a in pool.targets]
+
+    def test_zero_takes_upper_branch_in_raw_words(self):
+        # the fixed backend: a tracker whose Q2.30 word equals the sample's
+        # steps down by its step_down word; one word below steps up
+        pool = bank_pool(3, backend="fixed")
+        pool.observe(0, [0.4], 0)
+        word = int(fx.quantize_array(np.array([0.4]))[0])
+        start = [word, word - 1, word + 1]
+        pool.trackers[0, 0, :, 0] = start
+        pool.observe(0, [0.4], 0)
+        up, down = pool.step_up[:, 0].tolist(), pool.step_down[:, 0].tolist()
+        assert min(down) > 0
+        assert bank(pool) == [word - down[0], word - 1 + up[1], word + 1 - down[2]]
 
     def test_median_case(self):
         pool = pool_at([0.5, 0.5, 0.5])

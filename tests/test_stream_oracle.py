@@ -3,8 +3,10 @@
 Both readers run over the same file and must agree on every step: the
 sample (values and label, with their types), `clamp_count` and
 `rows_read` after each yielded row and at the end, and the exception
-type and message of the first bad row. The hypothesis test puts odd rows at the chunk
-edges (with 32-line chunks: lines 1, 31-33, 63-65 and 128).
+type and message of the first bad row. The stream is read twice, by
+`next()` and through its `__next__` bound once before the first row, as
+the bench's `StampedStream` reads it. The hypothesis test puts odd rows
+at the chunk edges (with 32-line chunks: lines 1, 31-33, 63-65 and 128).
 """
 
 import itertools
@@ -72,13 +74,46 @@ def step(stream):
         return ("end",)
     except Exception as e:  # the oracle's csv.Error counts too
         return ("raised", type(e), str(e))
+    return described(s)
+
+
+def described(s):
     return ("sample", s, type(s), [type(v) for v in s.values], type(s.label))
 
 
-def assert_same_stream(path, schema):
+class BoundConsumer:
+    """Takes rows as the bench's `StampedStream` does: through the stream's
+    `__next__`, bound once before the first row."""
+
+    def __init__(self, stream):
+        self._next = stream.__next__
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self._next()
+
+
+def assert_same_stream(path, schema, pause_at=0):
+    """The stream against the oracle, taken by `next()` and by a
+    `BoundConsumer`; returns the rows yielded before the end or the error.
+    With `pause_at`, `itertools.islice` over the stream itself takes the
+    first rows, and may stop mid-chunk, before the consumer reads on."""
+    rows = {same_rows(path, schema, consume, pause_at) for consume in (iter, BoundConsumer)}
+    assert len(rows) == 1
+    return rows.pop()
+
+
+def same_rows(path, schema, consume, pause_at):
     got, want = open_stream(path, schema), OracleStream(path, schema)
-    for row in itertools.count(1):
-        a, b = step(got), step(want)
+    take = consume(got)
+    for a, b in zip(itertools.islice(got, pause_at), itertools.islice(want, pause_at),
+                    strict=True):
+        assert described(a) == described(b)
+    assert (got.clamp_count, got.rows_read) == (want.clamp_count, want.rows_read)
+    for row in itertools.count(pause_at + 1):
+        a, b = step(take), step(want)
         assert a == b, f"after {row - 1} rows"
         if a[0] == "raised":
             # the oracle has counted the clamps of the rejected row's
@@ -196,3 +231,20 @@ def test_islice_counts_only_rows_taken(tmp_path):
         assert (stream.rows_read, stream.clamp_count) == (taken, taken)
     assert len(list(stream)) == 3 * CHUNK_LINES - taken
     assert (stream.rows_read, stream.clamp_count) == (3 * CHUNK_LINES, 3 * CHUNK_LINES)
+
+
+def test_bound_next_across_a_row_chunk_and_an_islice_stop(tmp_path):
+    """Both consumers through a block chunk, a chunk the block parser
+    refuses (read row by row, clamping), a block chunk and a bad row, with
+    an islice stop before and inside each chunk ahead of the bad row."""
+    schema = DatasetSchema((AttributeSpec("x", NUMERIC, declared_min=0.0, declared_max=1.0),
+                            AttributeSpec("c", CATEGORICAL, cardinality=2)), 2)
+    rows = [[("5" if i % 3 else "0.5"), "1", "0"] for i in range(4 * CHUNK_LINES)]
+    rows[CHUNK_LINES + 4] = ["1_000", "1", "1"]  # float() takes it, loadtxt does not
+    bad = 3 * CHUNK_LINES + 9
+    rows[bad] = ["0.5", "1", "x"]
+    path = tmp_path / "d.csv"
+    write_csv(path, schema, rows, "\n")
+    for pause_at in (0, 7, CHUNK_LINES, CHUNK_LINES + 4, CHUNK_LINES + 5,
+                     2 * CHUNK_LINES + 20, bad):
+        assert assert_same_stream(str(path), schema, pause_at) == bad
