@@ -8,9 +8,10 @@ there are no scalar copies. The fixed numeric backend keeps its quantile
 trackers as raw words and steps them toward samples in [-1, 1], whose
 words never saturate: `quantize_array` rounds those with no edge test.
 Only `leaf_stats.StatsPool` calls it on samples: a parsed chunk's
-normalized float64 block whole, the first time one of its rows arrives,
-and a hand-built row on its own; the CSV parser knows no backend and
-forwards the block as is. `float_to_raw_array`
+normalized float64 block whole, once, when the pool builds that chunk's
+sample bank (the words repeated over the Q trackers of a bank), and a
+hand-built row on its own; the CSV parser knows no backend and forwards
+the block as is. `float_to_raw_array`
 brings split points and gains into tracker units, clipping only when a
 value saturates. `mul_raw_array` forms the tracker steps, and
 `saturate_raw_array` clips a step when the gain makes steps long enough

@@ -30,29 +30,44 @@ Each (element, class) pair owns one contiguous bank with the numeric
 attribute axis last: `trackers` is (capacity, |C|, Q, A) and `g_mean`,
 `g_vsum` are (capacity, |C|, A), so one sample updates one block of
 memory: its class's (Q, A) bank, stepped against whole (Q, A) up and
-down planes, or a Welford update on (A,) rows. The step compares the bank
-with the sample filled across a per-pool (Q, A) buffer, not with the (A,)
-row: the booleans are the same, and numpy compares two (Q, A) arrays in
-well under half the time it takes to broadcast the row. The select
-between the up and down planes is written into a second per-pool (Q, A)
-buffer, the down plane copied in and the up plane put where the compare
-holds (`np.putmask`), then added to the bank: the lanes and bits of
-`np.where`, without the array it allocates.
+down planes, or a Welford update on (A,) rows. A parsed sample's step
+compares the bank with the sample already repeated over the Q rows, a
+(Q, A) view of its chunk's sample bank (below), not with the (A,) row:
+the booleans are the same, and numpy compares two (Q, A) arrays in well
+under half the time it takes to broadcast the row. A hand-built row is
+broadcast. The select between the up and down planes is written into a
+per-pool (Q, A) buffer, the down plane copied in (an `[...]` store,
+which meets no dispatch layer, unlike `np.copyto`) and the up plane put
+where the compare holds (`np.putmask`), then added to the bank: the
+lanes and bits of `np.where`, without the array it allocates.
 
-`observe` reaches an element's per-class banks and its range block
-through views built on the element's first sample, not per capacity;
-they stay valid because loading writes in place, and `release` drops
-them, so only live elements hold views. The range is written behind:
-`observe` stores the sample's numeric row in the element's block of
-RANGE_BLOCK_ROWS (32) rows of A float64 values (13,824 bytes at A = 54,
-under the 24,192 bytes of the element's tracker banks at 7 classes and
-Q = 8), and the block is folded into `min_a`/`max_a` when it is full and
-before every read: `split_points` (the trial), `element_doc` and
-`snapshot_doc`, `validate`, and the `min_a`/`max_a` properties. Only
-elements with pending rows are folded; `release` and `load_element`
-discard an element's pending rows. No row holds -0.0, so
-min and max are order-free and the fold is one reduction per extreme,
-with the bits a np.minimum/np.maximum per sample gives.
+A quantile pool builds one sample bank per parsed chunk, the first time
+one of its rows arrives: the chunk in tracker units, each row repeated
+over Q, shape (rows, Q, A), 32 x Q x A x 8 bytes (110,592 at A = 54 and
+Q = 8). It keeps the last chunk and its bank, compared by identity, so a
+stream read in order builds each chunk's bank once; samples out of chunk
+order, or from two streams, build it again at each switch, to the same
+values. The gaussian method builds none.
+
+`observe` reaches an element's per-class banks through views built on
+the element's first sample, not per capacity; they stay valid because
+loading writes in place, and `release` drops them, so only live elements
+hold views. The range is written behind: `observe` appends the sample's
+numeric row to the element's list of pending rows, a view into the
+parser's chunk (a hand-built row's own array), and the list is folded
+into `min_a`/`max_a`, with one `np.array` and one reduction per extreme,
+when it holds RANGE_BLOCK_ROWS (32) rows and before every read:
+`split_points` (the trial), `element_doc` and `snapshot_doc`,
+`validate`, and the `min_a`/`max_a` properties. A view keeps its whole
+chunk alive (32 x A x 8 bytes, 13,824 at A = 54) until its element
+folds, so the pending rows pin at most one chunk per row, and only the
+chunks that rows of unfolded elements came from: up to 31 chunks for an
+element visited once in 32 samples or more rarely, more than its
+tracker banks on a wide schema. Only elements with
+pending rows are folded; `release` and `load_element` discard an
+element's pending rows. No row holds -0.0, so min and max are
+order-free and the fold has the bits a np.minimum/np.maximum per sample
+gives.
 
 Snapshots keep the (A, |C|, Q) and (A, |C|) nesting per element under the
 same keys. `snapshot_doc` writes all live elements at once: per key, one
@@ -64,23 +79,22 @@ one-element case of the same code.
 `observe` takes numeric values in [-1, 1]. On a parsed sample it reads its
 row of the normalized float64 chunk that `SampleStream` forwards in the
 values' private slot, and it trusts that slot only on the parser's own
-row type; any other list, as a library caller builds it (its range
-checked by the caller), becomes one array, plus 0.0, so that a hand-built
--0.0 learns as the 0.0 the parser would yield. What the config fixes
-(method, backend, whether any attribute is categorical, `clip_steps`) is
-decided once per pool. `observe` returns the element's updated sample
-count and the sample's class count as Python ints, so the tree reads
-neither back from the arrays.
+row type, parsed under this pool's schema object; any other list, as a
+library caller builds it (its range checked by the caller), becomes one
+array, plus 0.0, so that a hand-built -0.0 learns as the 0.0 the parser
+would yield. What the config fixes (method, backend, whether any
+attribute is categorical, `clip_steps`) is decided once per pool.
+`observe` returns the element's updated sample count and the sample's
+class count as Python ints, so the tree reads neither back from the
+arrays.
 
 Both numeric backends run one tracker kernel on one `trackers` array,
 held in float64 reals or in int64 raw Q2.30 words; they differ only where
 reals enter tracker units, and in saturation. On the fixed backend no
 value in [-1, 1] saturates on conversion: the pool alone rounds with
-`fx.quantize_array`, a parsed chunk whole the first time one of its rows
-arrives (cached by identity, so a stream in order rounds each chunk
-once, and samples out of chunk order round it again at each switch, to
-the same words), any other row on its own. Trackers start inside Q2.30
-(seeded at a sample's word; `restore` rejects a payload whose trackers
+`fx.quantize_array`, a parsed chunk whole when its sample bank is built,
+any other row on its own. Trackers start inside Q2.30 (seeded at a
+sample's word; `restore` rejects a payload whose trackers
 do not), and a step moves a tracker toward the sample by at most one
 step, so only a step of about 1.0 or longer can leave Q2.30: then
 (`clip_steps`, decided once per pool, `lam` past ~1.1 at Q = 8) every
@@ -247,9 +261,6 @@ class StatsPool:
             one = fx.SCALE if self._fixed else 1.0
             self._tracker_lo = -one - self.step_down
             self._tracker_hi = one + self.step_up
-            # the sample, filled across a bank's Q rows: a (Q, A) compare
-            # costs less than one that broadcasts an (A,) row
-            self._sample_bank = np.zeros((Q, A), dtype=dtype)
             # a step's per-lane select is written here: a copy and a putmask
             # cost less than the array np.where allocates
             self._step = np.zeros((Q, A), dtype=dtype)
@@ -276,14 +287,14 @@ class StatsPool:
                 self._doc_keys.append((key, arr, to_doc, from_doc, shape))
 
         self.saturation_count = 0
-        # element -> (per-class banks, range block) (`_element_views`), built
-        # on its first sample: never per capacity, as `restore` builds a pool
-        # per snapshot
-        self._views: dict[int, tuple] = {}
-        # element -> rows of its range block not yet folded into its range
-        self._pending: dict[int, int] = {}
-        # the parser's last chunk seen and its Q2.30 words (fixed backend)
-        self._chunk = self._words = None
+        # element -> its per-class banks (`_element_views`), built on its
+        # first sample: never per capacity, as `restore` builds a pool per
+        # snapshot
+        self._views: dict[int, list] = {}
+        # element -> its numeric rows not yet folded into its range
+        self._pending: dict[int, list] = {}
+        # the parser's last chunk seen and its sample bank (quantile method)
+        self._bank_chunk = self._bank = None
         self.free_list = list(range(capacity - 1, -1, -1))  # pops 0, 1, 2, ...
 
     @property
@@ -449,26 +460,24 @@ class StatsPool:
             return fx.float_to_raw_array(x)
         return x, 0
 
-    def _element_views(self, e: int) -> tuple:
-        """Element e's (per-class banks, range block): a bank is the class's
-        (Q, A) trackers or its (g_mean, g_vsum) rows, as views that stay
-        valid while the arrays do, since `load_element` writes in place;
-        `release` drops them. The block holds RANGE_BLOCK_ROWS numeric rows."""
+    def _element_views(self, e: int) -> list:
+        """Element e's per-class banks: a bank is the class's (Q, A)
+        trackers or its (g_mean, g_vsum) rows, as views that stay valid
+        while the arrays do, since `load_element` writes in place;
+        `release` drops them."""
         if self._quantile:
-            banks = list(self.trackers[e])
+            banks = self._views[e] = list(self.trackers[e])
         else:
-            banks = list(zip(self.g_mean[e], self.g_vsum[e]))
-        block = np.empty((RANGE_BLOCK_ROWS, len(self.numeric_idx)))
-        views = self._views[e] = (banks, block)
-        return views
+            banks = self._views[e] = list(zip(self.g_mean[e], self.g_vsum[e]))
+        return banks
 
-    def _fold(self, e: int, k: int) -> None:
-        """Fold the first k rows of element e's range block into its
-        min_a/max_a rows with one reduction each: no row holds -0.0, so
-        the order numpy reduces in cannot change the bits."""
-        rows = self._views[e][1][:k]
+    def _fold(self, e: int, rows: list) -> None:
+        """Fold element e's pending numeric rows into its min_a/max_a rows
+        with one array and one reduction per extreme: no row holds -0.0,
+        so the order numpy reduces in cannot change the bits."""
+        block = np.array(rows)
         for ufunc, out in ((np.minimum, self._min_a[e]), (np.maximum, self._max_a[e])):
-            ufunc(out, ufunc.reduce(rows), out=out)
+            ufunc(out, ufunc.reduce(block), out=out)
 
     def _fold_all(self) -> None:
         """Fold every element's pending range rows."""
@@ -485,45 +494,47 @@ class StatsPool:
         self.n_fj[e, label] = cj
 
         if self.numeric_idx:
-            # the parser's chunk and row, or one array built here, -0.0 made 0.0
-            if type(values) is _Row and values._fwd is not None:
-                chunk, at = values._fwd
+            # the parser's chunk and row under this pool's schema object, or
+            # one array built here, -0.0 made 0.0
+            fwd = values._fwd if type(values) is _Row else None
+            if fwd is not None and fwd[2] is self.schema:
+                chunk, at, _ = fwd
                 xv = chunk[at]
             else:
                 chunk = None
                 xv = np.array([values[i] for i in self.numeric_idx], dtype=np.float64)
                 xv += 0.0
-            views = self._views.get(e)
-            if views is None:
-                views = self._element_views(e)
-            banks, block = views
+            banks = self._views.get(e)
+            if banks is None:
+                banks = self._element_views(e)
             # the range is written behind: the row now, min_a/max_a at a fold
-            pending = self._pending
-            k = pending.get(e, 0)
-            block[k] = xv
-            k += 1
-            if k < RANGE_BLOCK_ROWS:
-                pending[e] = k
+            rows = self._pending.get(e)
+            if rows is None:
+                self._pending[e] = [xv]
             else:
-                del pending[e]
-                self._fold(e, k)
+                rows.append(xv)
+                if len(rows) == RANGE_BLOCK_ROWS:
+                    del self._pending[e]
+                    self._fold(e, rows)
             if self._quantile:
-                if not self._fixed:
-                    xt = xv
-                elif chunk is None:  # values in [-1, 1] never saturate on conversion
-                    xt = fx.quantize_array(xv)
+                if chunk is None:
+                    # an (A,) row, broadcast over the bank's Q trackers;
+                    # values in [-1, 1] never saturate on conversion
+                    xb = fx.quantize_array(xv) if self._fixed else xv
                 else:
-                    if chunk is not self._chunk:
-                        self._chunk, self._words = chunk, fx.quantize_array(chunk)
-                    xt = self._words[at]
+                    if chunk is not self._bank_chunk:
+                        # the chunk in tracker units, each row repeated over
+                        # a bank's Q trackers: (rows, Q, A)
+                        units = fx.quantize_array(chunk) if self._fixed else chunk
+                        self._bank = units[:, None, :].repeat(self.quantile_count, axis=1)
+                        self._bank_chunk = chunk
+                    xb = self._bank[at]
                 v = banks[label]
                 if cj == 1:
-                    v[...] = xt
+                    v[...] = xb
                 else:
-                    xb = self._sample_bank
-                    xb[...] = xt
                     step = self._step
-                    np.copyto(step, self._neg_step_down)
+                    step[...] = self._neg_step_down
                     np.putmask(step, v < xb, self.step_up)
                     v += step
                     if self.clip_steps:
@@ -547,9 +558,9 @@ class StatsPool:
         """The (A,) mask of numeric attributes whose observed range is not
         empty (min < max), and count evenly spaced interior points of each
         of those ranges, shape (mask.sum(), count)."""
-        k = self._pending.pop(e, 0)
-        if k:
-            self._fold(e, k)
+        rows = self._pending.pop(e, None)
+        if rows:
+            self._fold(e, rows)
         lo = self._min_a[e]
         hi = self._max_a[e]
         valid = lo < hi

@@ -24,11 +24,14 @@ chunk is read and handed out by C iteration (`itertools.chain` over one
 list iterator per chunk), so a sample that is not the chunk's first costs
 one C `next`; `rows_read` and `clamp_count` are read from the current
 chunk's position. A block-parsed sample's values list also forwards,
-in a private slot, the chunk's read-only normalized float64 block and the
-row's index in it, and nothing else: the parser knows no learner backend,
-and the learner's statistics (`leaf_stats.StatsPool`) turn the block into
-their own units. Neither path yields -0.0: a normalized value is a
-difference minus 1.0, whose zero is +0.0, or a clamp to -1.0 or 1.0.
+in a private slot, the chunk's read-only normalized float64 block, the
+row's index in it and the schema object the stream was opened with, and
+nothing else: the parser knows no learner backend, and the learner's
+statistics (`leaf_stats.StatsPool`) turn the block into their own units.
+The learner trusts the slot only under its own schema object, since
+another schema's columns and codes need not be its own. Neither path
+yields -0.0: a normalized value is a difference minus 1.0, whose zero is
++0.0, or a clamp to -1.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -128,12 +131,13 @@ class Sample(NamedTuple):
 
 class _Row(list):
     """A parsed sample's values that also forward, in one private slot,
-    `_fwd` = (block, row), the parser's read-only normalized float64 chunk
-    and the row's index in it, so the learner need not build the numeric
-    row again. The slot is None once the list changes, so no stale row
-    outlives the values it came with; the tree checks every row but an
-    intact one of this type, and the learner trusts the slot on this type
-    only."""
+    `_fwd` = (block, row, schema), the parser's read-only normalized
+    float64 chunk, the row's index in it and the schema object the row
+    was parsed under, so the learner need not build the numeric row
+    again. The slot is None once the list changes, so no stale row
+    outlives the values it came with. The tree checks every row but an
+    intact one of this type parsed under its own schema object (`is`, not
+    `==`), and the learner trusts the slot on such a row only."""
 
     __slots__ = ("_fwd",)
 
@@ -453,6 +457,7 @@ class _Block:
     """
 
     def __init__(self, schema: DatasetSchema, label_at: int):
+        self.schema = schema
         attrs = schema.attributes
         self.class_count = schema.class_count
         kinds = [a.kind for a in attrs]
@@ -482,8 +487,9 @@ class _Block:
 
         `samples` is the chunk's `Sample`s as one list, each built by
         `tuple.__new__` through a map, its numeric values a `_Row`
-        forwarding (block, row index). `cum_clamps` is the running count
-        of clamped values through each row, or None when none clamped."""
+        forwarding (block, row index, schema). `cum_clamps` is the running
+        count of clamped values through each row, or None when none
+        clamped."""
         text = "".join(lines)
         limit = csv.field_size_limit()  # csv.reader raises on a longer field
         if (not text.isascii()
@@ -539,8 +545,9 @@ class _Block:
             rows = mixed.tolist()
         if self.numeric:
             rows = list(map(_Row, rows))
+            schema = self.schema
             for at, row in enumerate(rows):
-                row._fwd = (norm, at)
+                row._fwd = (norm, at, schema)
         # tuple.__new__ builds each Sample without a Python-level __new__ call
         samples = list(map(tuple.__new__, itertools.repeat(Sample), zip(rows, labels)))
         return samples, cum_clamps

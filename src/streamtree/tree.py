@@ -178,14 +178,30 @@ class HoeffdingTree:
     # ------------------------------------------------------------- routing
 
     def sort_to_leaf(self, s: Sample) -> LeafNode:
-        """The leaf s routes to; raises ValueError for a label that is not
-        an int in 0..|C|-1, a row whose length is not the schema's, a
-        numeric value that is a bool, not a real number or not in [-1, 1]
-        (NaN included), or a categorical code that is not an int in
-        0..cardinality-1, so `step`, `train_one` and `predict` all do,
-        before the tree changes. An intact parsed row is not checked again:
-        the parser refuses NaN and codes out of range, and clamps numeric
-        values into [-1, 1]."""
+        """The leaf s routes to, after `_check_sample`: `predict` routes
+        here, and `step` makes the same checks and the same walk in its
+        own frame."""
+        self._check_sample(s)
+        values = s.values
+        node = self.root
+        while type(node) is InternalNode:
+            v = values[node.attribute]
+            if node.is_categorical:
+                node = node.left if v == node.threshold else node.right
+            else:
+                node = node.left if v <= node.threshold else node.right
+        return node
+
+    def _check_sample(self, s: Sample) -> None:
+        """Raise ValueError for a label that is not an int in 0..|C|-1, a
+        row whose length is not the schema's, a numeric value that is a
+        bool, not a real number or not in [-1, 1] (NaN included), or a
+        categorical code that is not an int in 0..cardinality-1, naming the
+        first such value. An intact row parsed under this tree's schema
+        object is not checked value by value: the parser refuses NaN and
+        codes out of range, and clamps numeric values into [-1, 1]. A row
+        parsed under any other schema, even an equal one, is checked like a
+        hand-built list."""
         label = s.label
         if type(label) is not int or not 0 <= label < self.schema.class_count:
             raise ValueError(f"label {label!r} is not an int in "
@@ -194,57 +210,9 @@ class HoeffdingTree:
         if len(values) != self._attr_count:
             raise ValueError(f"the sample's row length {len(values)} is not the "
                              f"schema's {self._attr_count} attributes")
-        if type(values) is not _Row or values._fwd is None:  # not an intact parsed row
-            self._check_values(values)
-        node = self.root
-        while not isinstance(node, LeafNode):
-            v = values[node.attribute]
-            if node.is_categorical:
-                node = node.left if v == node.threshold else node.right
-            else:
-                node = node.left if v <= node.threshold else node.right
-        return node
-
-    # ------------------------------------------------------------ training
-
-    def step(self, s: Sample) -> int:
-        """Predict s, then train on it: `predict(s)` followed by
-        `train_one(s)`, routing s once. Returns the prediction."""
-        leaf = self.sort_to_leaf(s)
-        prediction = leaf.cached_majority
-        self._train_leaf(leaf, s)
-        return prediction
-
-    def train_one(self, s: Sample) -> Optional[SplitEvent]:
-        return self._train_leaf(self.sort_to_leaf(s), s)
-
-    def _train_leaf(self, leaf: LeafNode, s: Sample) -> Optional[SplitEvent]:
-        """Fold s, already routed to leaf, into the leaf's statistics and run
-        the leaf's split trial when one is due."""
-        self.train_count += 1
-        label = s.label
-        e = leaf.eid
-        if e is None:
-            counts = leaf.frozen_counts
-            counts[label] += 1
-            c = counts.item(label)
-        else:
-            n, c = self.stats.observe(e, s.values, label)
-        if (c > leaf.majority_count
-                or (c == leaf.majority_count and label < leaf.cached_majority)):
-            leaf.cached_majority = label
-            leaf.majority_count = c
-        if e is not None and n % self.config.n_min == 0:
-            self.trial_count += 1
-            decision = split_eval.evaluate_split_trial(self.stats, e, self.config)
-            if decision.taken:
-                return self.apply_split(leaf, decision)
-        return None
-
-    def _check_values(self, values) -> None:
-        """Raise naming the first numeric value that `domain_problem`
-        refuses (a bool, not a real number, or not in [-1, 1]), else the
-        first categorical code that is not an int in 0..cardinality-1."""
+        fwd = values._fwd if type(values) is _Row else None
+        if fwd is not None and fwd[2] is self.schema:
+            return
         for i in self.stats.numeric_idx:
             problem = domain_problem(values[i])
             if problem:
@@ -260,6 +228,57 @@ class HoeffdingTree:
                     what = f"a {code.bit_length()}-bit code, outside"
                 raise ValueError(f"attribute {i} ({self.schema.attributes[i].name!r}) "
                                  f"has {what} 0..{card - 1}")
+
+    # ------------------------------------------------------------ training
+
+    def step(self, s: Sample) -> int:
+        """Predict s, then train on it; returns the prediction. The one
+        training path (`train_one` and `train` step too), with the checks,
+        the routing walk and the training in one frame: an intact row
+        parsed under this tree's schema object is checked for its label and
+        length only, any other row by `_check_sample`, all before the tree
+        changes. `stats.observe`, `split_eval.evaluate_split_trial` and
+        `apply_split` are looked up at call time, so a profiler's wrappers
+        see every call."""
+        label = s.label
+        values = s.values
+        schema = self.schema
+        fwd = values._fwd if type(values) is _Row else None
+        if (fwd is None or fwd[2] is not schema or type(label) is not int
+                or not 0 <= label < schema.class_count or len(values) != self._attr_count):
+            self._check_sample(s)
+        node = self.root
+        while type(node) is InternalNode:
+            v = values[node.attribute]
+            if node.is_categorical:
+                node = node.left if v == node.threshold else node.right
+            else:
+                node = node.left if v <= node.threshold else node.right
+        prediction = node.cached_majority
+        self.train_count += 1
+        e = node.eid
+        if e is None:
+            counts = node.frozen_counts
+            counts[label] += 1
+            c = counts.item(label)
+        else:
+            n, c = self.stats.observe(e, values, label)
+        if c > node.majority_count or (c == node.majority_count and label < prediction):
+            node.cached_majority = label
+            node.majority_count = c
+        if e is not None and n % self.config.n_min == 0:
+            self.trial_count += 1
+            decision = split_eval.evaluate_split_trial(self.stats, e, self.config)
+            if decision.taken:
+                self.apply_split(node, decision)
+        return prediction
+
+    def train_one(self, s: Sample) -> Optional[SplitEvent]:
+        """Train on s (`step`); returns the split or freeze its trial
+        decided, which `step` appended to `split_log`, or None."""
+        logged = len(self.split_log)
+        self.step(s)
+        return self.split_log[-1] if len(self.split_log) > logged else None
 
     def apply_split(self, leaf: LeafNode, decision: split_eval.SplitDecision) -> SplitEvent:
         e = leaf.eid
@@ -307,7 +326,7 @@ class HoeffdingTree:
     def train(self, stream: Iterable[Sample]) -> int:
         count = 0
         for s in stream:
-            self.train_one(s)
+            self.step(s)
             count += 1
         return count
 

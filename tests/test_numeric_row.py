@@ -53,7 +53,7 @@ def forwarded_row(s):
     list changed."""
     if s.values._fwd is None:
         return None
-    block, at = s.values._fwd
+    block, at, _ = s.values._fwd
     return block[at]
 
 

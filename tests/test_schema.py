@@ -342,7 +342,7 @@ def test_the_parser_never_yields_negative_zero(quoted, rows):
         if quoted:
             assert type(s.values) is list
         else:
-            block, _ = s.values._fwd
+            block, _, _ = s.values._fwd
             assert not (np.signbit(block) & (block == 0.0)).any()
 
 

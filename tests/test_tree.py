@@ -16,7 +16,14 @@ from streamtree import fixed_point as fx
 from streamtree import synth
 from streamtree import tree as tree_module
 from streamtree.leaf_stats import StatsPool
-from streamtree.schema import AttributeSpec, DatasetSchema, Sample, open_stream
+from streamtree.schema import (
+    AttributeSpec,
+    DatasetSchema,
+    Sample,
+    open_stream,
+    schema_doc,
+    schema_from_doc,
+)
 from streamtree.tree import (
     HoeffdingTree,
     InternalNode,
@@ -1164,18 +1171,97 @@ class TestLabelOutOfRange:
     """A label must be an int class before the tree changes; -1 used to
     count as the last class and |C| raised IndexError after `n_f` moved."""
 
-    @pytest.mark.parametrize("label", [-1, 2, 1.0, True, np.int64(1)],
-                             ids=["minus-1", "class-count", "float", "bool", "numpy-int"])
-    def test_rejected_and_tree_unchanged(self, label):
+    LABELS = pytest.mark.parametrize(
+        "label", [-1, 2, 1.0, True, np.int64(1)],
+        ids=["minus-1", "class-count", "float", "bool", "numpy-int"])
+
+    @staticmethod
+    def assert_rejected(values, label):
         tree = new_tree(TWO_NUM)
         tree.train(synth.generate("threshold", 50, seed=1))
         before = tree.snapshot()
-        bad = Sample([0.5, -0.5], label)
+        bad = Sample(values, label)
         for call in (tree.train_one, tree.step, tree.predict):
             with pytest.raises(ValueError, match=re.escape(f"label {label!r} is not an int in 0..1")):
                 call(bad)
         assert tree.snapshot() == before
         assert tree.train_count == 50
+
+    @LABELS
+    def test_rejected_and_tree_unchanged(self, label):
+        self.assert_rejected([0.5, -0.5], label)
+
+    @LABELS
+    def test_parsed_row_rejected_and_tree_unchanged(self, label, tmp_path):
+        """A row parsed under the tree's own schema skips the value checks,
+        not the label check."""
+        parsed = parsed_sample(tmp_path, TWO_NUM, "0.5,-0.5,1")
+        self.assert_rejected(parsed.values, label)
+
+    def test_parsed_row_of_another_length_rejected(self, tmp_path):
+        three = DatasetSchema(TWO_NUM.attributes + (TWO_NUM.attributes[0],), 2)
+        parsed = parsed_sample(tmp_path, three, "0.5,-0.5,0.25,1")
+        tree = new_tree(TWO_NUM)
+        before = tree.snapshot()
+        for call in (tree.train_one, tree.step, tree.predict):
+            with pytest.raises(ValueError, match=re.escape(
+                    "the sample's row length 3 is not the schema's 2 attributes")):
+                call(parsed)
+        assert tree.snapshot() == before
+
+
+def parsed_sample(tmp_path, schema, line):
+    """The sample the parser makes of one CSV line under `schema`."""
+    path = tmp_path / "row.csv"
+    path.write_text(line + "\n", encoding="utf-8")
+    (s,) = open_stream(str(path), schema)
+    assert s.values._fwd is not None
+    return s
+
+
+class TestRowParsedUnderAnotherSchema:
+    """A parsed row skips the value checks only under the tree's own schema
+    object: the codes and ranges of any other schema need not be this
+    tree's, so such a row is checked and learnt like a hand-built list."""
+
+    X_C = DatasetSchema((AttributeSpec("x", "numeric", declared_min=0.0, declared_max=1.0),
+                         AttributeSpec("c", "categorical", cardinality=3)), 2)
+
+    @pytest.mark.parametrize("parsed_under, tree_schema, line, values, message", [
+        # the columns swapped: a code where the tree reads x, x where it reads c
+        (DatasetSchema(X_C.attributes[::-1], 2), X_C, "0,0.0,0", [0, -1.0],
+         "attribute 1 ('c') has code -1.0, not an int in 0..2"),
+        # the tree's c has fewer codes than the stream's
+        (DatasetSchema((AttributeSpec("x", "numeric", declared_min=-5.0, declared_max=5.0),
+                        AttributeSpec("c", "categorical", cardinality=3)), 2),
+         DatasetSchema((X_C.attributes[0], AttributeSpec("c", "categorical", cardinality=2)), 2),
+         "5.0,2,1", [1.0, 2], "attribute 1 ('c') has code 2, outside 0..1"),
+    ], ids=["columns-swapped", "fewer-codes"])
+    def test_rejected_and_tree_unchanged(self, tmp_path, parsed_under, tree_schema, line,
+                                         values, message):
+        s = parsed_sample(tmp_path, parsed_under, line)
+        assert list(s.values) == values
+        tree = new_tree(tree_schema)
+        tree.train_one(Sample([0.5, 1], 0))
+        before = tree.snapshot()
+        for call in (tree.step, tree.train_one, tree.predict):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(s)
+        assert tree.snapshot() == before
+        tree.validate()
+
+    @pytest.mark.parametrize("kw", [{}, {"numeric_backend": "fixed"}, {"method": "gaussian"}],
+                             ids=["quantile-float", "quantile-fixed", "gaussian"])
+    def test_an_equal_schema_learns_the_same(self, tmp_path, kw):
+        path = str(tmp_path / "s.csv")
+        schema = synth.write_csv(path, "categorical", 600, seed=2)
+        equal = schema_from_doc(schema_doc(schema))
+        assert equal == schema and equal is not schema
+        own, other = (new_tree(schema, TreeConfig(n_min=50, **kw)) for _ in range(2))
+        own.train(open_stream(path, schema))
+        other.train(open_stream(path, equal))
+        assert other.snapshot() == own.snapshot()
+        assert own.split_count > 0
 
 
 class TestFixedSaturation:
